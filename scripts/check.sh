@@ -155,6 +155,28 @@ done
 rm -f "$trace_json"
 echo "trace smoke OK"
 
+# One repair span skeleton on every path: a root pipeline.repair encloses the
+# pre-pass span ($2), and repair.wall_seconds covers it.
+check_span_skeleton() {
+  python3 - "$1" "$2" <<'EOF'
+import json, sys
+doc, pre_pass = json.load(open(sys.argv[1])), sys.argv[2]
+stages = doc["stages"]
+roots = [i for i, s in enumerate(stages) if s["name"] == "pipeline.repair"]
+assert len(roots) == 1 and stages[roots[0]]["parent"] == -1, roots
+def under_repair(i):
+    while i != -1:
+        i = stages[i]["parent"]
+        if i == roots[0]:
+            return True
+    return False
+spans = [i for i, s in enumerate(stages) if s["name"] == pre_pass]
+assert spans and all(under_repair(i) for i in spans), pre_pass
+wall = doc["repair"]["wall_seconds"]
+assert all(wall >= stages[i]["duration_seconds"] - 1e-9 for i in spans), wall
+EOF
+}
+
 echo "== compression smoke (symmetric compresses, asymmetric declines) =="
 comp_dir="$(mktemp -d /tmp/cpr-compress-XXXXXX)"
 comp_json="$comp_dir/stats.json"
@@ -170,6 +192,7 @@ assert s["attempted"] and s["applied"], s
 assert s["quotient_ratio"] > 1.0, s
 assert s["lift_verify_failures"] == 0, s
 EOF
+check_span_skeleton "$comp_json" pipeline.compress
 # Fully asymmetric input must decline with the clean-fallback signature:
 # nothing applied and a no-op ratio. The ratio is a float that travels
 # through JSON formatting, so compare with a tolerance, never exact equality.
@@ -223,6 +246,7 @@ assert s["harc_cloned"], s
 assert s["groups_reused"] > 0, s
 assert not s["fell_back"], s
 EOF
+check_span_skeleton "$incr_json" pipeline.incremental
 rm -rf "$incr_dir"
 echo "incremental smoke OK"
 

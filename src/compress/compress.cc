@@ -7,10 +7,8 @@
 #include <utility>
 
 #include "compress/lift.h"
-#include "config/diff.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "verify/checker.h"
 
 namespace cpr::compress {
 
@@ -63,33 +61,6 @@ bool Mappable(const RepairProblem& group) {
   });
 }
 
-void AccumulateCounters(const std::vector<std::pair<std::string, double>>& from,
-                        std::map<std::string, double>* into) {
-  for (const auto& [key, value] : from) {
-    (*into)[key] += value;
-  }
-}
-
-void AccumulateStats(const RepairStats& from, RepairStats* into,
-                     std::map<std::string, double>* counter_totals) {
-  into->problems_formulated += from.problems_formulated;
-  into->problems_solved += from.problems_solved;
-  into->problems_failed += from.problems_failed;
-  into->destinations_skipped += from.destinations_skipped;
-  into->encode_seconds += from.encode_seconds;
-  into->solve_seconds += from.solve_seconds;
-  into->solve_wall_seconds += from.solve_wall_seconds;
-  into->wall_seconds += from.wall_seconds;
-  into->bool_vars += from.bool_vars;
-  into->hard_constraints += from.hard_constraints;
-  into->soft_constraints += from.soft_constraints;
-  into->certify_checked += from.certify_checked;
-  into->certify_verified += from.certify_verified;
-  into->certify_failed += from.certify_failed;
-  into->certify_artifacts += from.certify_artifacts;
-  AccumulateCounters(from.solver_counter_totals, counter_totals);
-}
-
 // Everything the base (unpinned) partition depends on: per-device role
 // signatures plus the link/subnet shape WL refinement walks. Two networks
 // with equal keys refine to the same block structure, so a cached partition
@@ -110,19 +81,6 @@ std::string StructureKey(const Network& network) {
         << subnet.interface << '\x1e';
   }
   return key.str();
-}
-
-void AppendEdits(const RepairEdits& from, RepairEdits* into) {
-  auto append = [](const auto& src, auto* dst) {
-    dst->insert(dst->end(), src.begin(), src.end());
-  };
-  append(from.adjacencies, &into->adjacencies);
-  append(from.redistributions, &into->redistributions);
-  append(from.filters, &into->filters);
-  append(from.static_routes, &into->static_routes);
-  append(from.acls, &into->acls);
-  append(from.costs, &into->costs);
-  append(from.waypoints, &into->waypoints);
 }
 
 }  // namespace
@@ -242,14 +200,10 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
     return decline("no violations");
   }
 
-  // --- Per-group quotient solves.
-  RepairEdits lifted_edits;
+  // --- Per-group quotient solves, merged into the lifted first phase.
+  PatchedRepair result;
   std::set<std::string> emitted;
   std::vector<Policy> compressed_policies;
-  RepairStats merged;
-  std::map<std::string, double> counter_totals;
-  obs::ProvenanceReport provenance;
-  int64_t predicted_cost = 0;
   double ratio_sum = 0;
   {
     obs::StageSpan span("pipeline.compress");
@@ -312,21 +266,20 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
       LiftedEdits lift = LiftEdits(*quotient, solved->edits, &emitted);
       stats.abstract_edits += lift.abstract_edits;
       stats.lifted_edits += lift.concrete_edits;
-      AppendEdits(lift.edits, &lifted_edits);
+      AppendEdits(lift.edits, &result.edits);
 
       // Merge stats and provenance, renumbering problems sequentially and
       // re-expressing every id in concrete terms.
-      const int problem_base = static_cast<int>(merged.problem_reports.size());
-      AccumulateStats(solved->stats, &merged, &counter_totals);
-      for (ProblemReport report : solved->stats.problem_reports) {
+      const int problem_base = static_cast<int>(result.stats.problem_reports.size());
+      for (ProblemReport& report : solved->stats.problem_reports) {
         std::vector<SubnetId> concrete_dsts;
         for (SubnetId dst : report.dsts) {
           const auto& members = quotient->subnet_members[static_cast<size_t>(dst)];
           concrete_dsts.insert(concrete_dsts.end(), members.begin(), members.end());
         }
         report.dsts = std::move(concrete_dsts);
-        merged.problem_reports.push_back(std::move(report));
       }
+      MergeRepairStats(std::move(solved->stats), &result.stats);
       std::vector<std::string> dst_names;
       for (SubnetId dst : group.dsts) {
         dst_names.push_back(network.subnets()[static_cast<size_t>(dst)].prefix.ToString());
@@ -348,7 +301,7 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
           fanned.problem = problem_base + std::max(chain.problem, 0);
           fanned.dsts = dst_names;
           fanned.policies = policy_names;
-          provenance.chains.push_back(std::move(fanned));
+          result.provenance.chains.push_back(std::move(fanned));
         }
       }
       for (const std::string& orphan : solved->provenance.orphan_edits) {
@@ -356,10 +309,10 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
         if (fanout != lift.fanout.end()) {
           for (const auto& [construct, description] : fanout->second) {
             (void)description;
-            provenance.orphan_edits.push_back(construct);
+            result.provenance.orphan_edits.push_back(construct);
           }
         } else {
-          provenance.orphan_edits.push_back("quotient:" + orphan);
+          result.provenance.orphan_edits.push_back("quotient:" + orphan);
         }
       }
 
@@ -367,7 +320,7 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
                                  group.policies.end());
       ++stats.groups_compressed;
       ratio_sum += quotient->Ratio();
-      predicted_cost += solved->predicted_cost;
+      result.predicted_cost += solved->predicted_cost;
     }
     if (stats.groups_compressed > 0) {
       std::ostringstream ratio;
@@ -382,111 +335,30 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
   }
   stats.quotient_ratio = ratio_sum / stats.groups_compressed;
 
-  // --- Lift: translate on the concrete network, re-verify, fall back.
+  // --- Lift: translate on the concrete network, re-verify, and repair what
+  // is still violated uncompressed (translate/patch.h).
   Timer lift_timer;
   obs::StageSpan lift_span("pipeline.lift");
-  Result<TranslationResult> translation = TranslateEdits(network, lifted_edits);
-  if (!translation.ok()) {
-    return decline("lifted edits failed to translate: " + translation.error().message());
+  Result<std::vector<Policy>> residual =
+      PatchAndReverify(network, policies, options, FallbackScope::kResidual, &result);
+  if (!residual.ok()) {
+    return decline("lifted patch failed: " + residual.error().message());
   }
-  Result<Network> rebuilt =
-      Network::Build(translation->patched_configs, translation->annotations);
-  if (!rebuilt.ok()) {
-    return decline("lifted patch broke the network: " + rebuilt.error().message());
-  }
-  auto patched_network = std::make_unique<Network>(std::move(rebuilt).value());
-  auto patched_harc = std::make_unique<Harc>(Harc::Build(*patched_network));
-  const std::vector<Policy> residual = FindViolations(*patched_harc, policies);
-  for (const Policy& policy : residual) {
+  for (const Policy& policy : *residual) {
     if (std::find(compressed_policies.begin(), compressed_policies.end(), policy) !=
         compressed_policies.end()) {
       ++stats.lift_verify_failures;
     }
   }
-  stats.fallback_policies = static_cast<int>(residual.size());
+  stats.fallback_policies = static_cast<int>(residual->size());
   lift_span.Annotate("lifted_edits", std::to_string(stats.lifted_edits));
   lift_span.Annotate("verify_failures", std::to_string(stats.lift_verify_failures));
-
-  CompressedRepairResult result;
-  result.edits = lifted_edits;
-  result.patched_configs = translation->patched_configs;
-  result.patched_annotations = translation->annotations;
-  result.change_log = translation->change_log;
-  result.edit_traces = translation->edit_traces;
-  result.predicted_cost = predicted_cost;
-  result.provenance = std::move(provenance);
-
-  if (residual.empty()) {
-    result.status = RepairStatus::kSuccess;
-    result.rebuilt_network = std::move(patched_network);
-    result.rebuilt_harc = std::move(patched_harc);
-  } else {
-    // Uncompressed fallback on the patched network: repairs both the groups
-    // compression never touched and any group whose lifted patch fell short.
-    RepairOptions fallback_options = options;
-    fallback_options.compress = CompressOptions{};
-    Result<RepairOutcome> fallback =
-        ComputeRepair(*patched_harc, residual, fallback_options);
-    if (!fallback.ok()) {
-      return fallback.error();
-    }
-    const int problem_base = static_cast<int>(merged.problem_reports.size());
-    AccumulateStats(fallback->stats, &merged, &counter_totals);
-    for (const ProblemReport& report : fallback->stats.problem_reports) {
-      merged.problem_reports.push_back(report);
-    }
-    for (obs::ProvenanceChain chain : fallback->provenance.chains) {
-      chain.problem += problem_base;
-      result.provenance.chains.push_back(std::move(chain));
-    }
-    for (const std::string& orphan : fallback->provenance.orphan_edits) {
-      result.provenance.orphan_edits.push_back(orphan);
-    }
-    for (obs::UnsatCoreReport core : fallback->provenance.unsat_cores) {
-      core.problem += problem_base;
-      result.provenance.unsat_cores.push_back(std::move(core));
-    }
-    if (fallback->HasRepair()) {
-      Result<TranslationResult> second =
-          TranslateEdits(*patched_network, fallback->edits);
-      if (!second.ok()) {
-        return second.error();
-      }
-      result.patched_configs = second->patched_configs;
-      result.patched_annotations = second->annotations;
-      result.change_log.insert(result.change_log.end(), second->change_log.begin(),
-                               second->change_log.end());
-      result.edit_traces.insert(result.edit_traces.end(), second->edit_traces.begin(),
-                                second->edit_traces.end());
-      AppendEdits(fallback->edits, &result.edits);
-      result.predicted_cost += fallback->predicted_cost;
-      result.status = fallback->status == RepairStatus::kSuccess ? RepairStatus::kSuccess
-                                                                 : RepairStatus::kPartial;
-    } else {
-      // The lifted patch stands; the policies the fallback could not solve
-      // remain in residual_graph_violations.
-      result.status = RepairStatus::kPartial;
-    }
+  if (!result.HasRepair()) {
+    // The lifted patch stands; the policies the fallback could not solve
+    // remain in residual_graph_violations.
+    result.status = RepairStatus::kPartial;
   }
   stats.lift_seconds = lift_timer.Seconds();
-
-  // Diff against the *original* configurations: phase-2 patches stack on
-  // phase-1's, and "lines changed" must mean end to end.
-  {
-    std::ostringstream text;
-    for (size_t i = 0; i < network.configs().size(); ++i) {
-      const ConfigDiff diff = DiffConfigs(network.configs()[i], result.patched_configs[i]);
-      if (diff.lines.empty()) {
-        continue;
-      }
-      result.lines_changed += diff.total();
-      text << "--- " << network.configs()[i].hostname << " ---\n" << diff.ToString();
-    }
-    result.diff_text = text.str();
-  }
-
-  merged.solver_counter_totals.assign(counter_totals.begin(), counter_totals.end());
-  result.stats = std::move(merged);
 
   stats.applied = true;
   registry.counter("compression.applied").Increment();

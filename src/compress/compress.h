@@ -5,13 +5,14 @@
 // subnets, computes a pinned behavioral partition (partition.h), builds the
 // representative quotient network (quotient.h), solves the group's policies
 // on the small instance with the unchanged repair engine, and lifts the
-// abstract edits back to every concrete router (lift.h). The lifted patch is
-// then translated and re-verified on the *concrete* network: every policy
-// still violated — whether its group was never compressible (PC4/PC5, poor
-// ratio, quotient failure) or its lifted patch fell short — is re-repaired
-// by an ordinary uncompressed ComputeRepair on the patched network.
-// Correctness therefore never depends on the abstraction; compression only
-// decides how much of the work the small instance absorbs.
+// abstract edits back to every concrete router (lift.h). The lifted patch
+// then goes through the shared patch, re-verify and fallback routine
+// (translate/patch.h): translated and re-verified on the *concrete* network,
+// with every policy still violated — whether its group was never
+// compressible (PC4/PC5, poor ratio, quotient failure) or its lifted patch
+// fell short — re-repaired by one ordinary uncompressed ComputeRepair on the
+// patched network. Correctness therefore never depends on the abstraction;
+// compression only decides how much of the work the small instance absorbs.
 
 #ifndef CPR_SRC_COMPRESS_COMPRESS_H_
 #define CPR_SRC_COMPRESS_COMPRESS_H_
@@ -26,9 +27,8 @@
 #include "compress/partition.h"
 #include "compress/quotient.h"
 #include "netbase/result.h"
-#include "obs/provenance.h"
 #include "repair/repair.h"
-#include "translate/translator.h"
+#include "translate/patch.h"
 #include "verify/policy.h"
 
 namespace cpr::compress {
@@ -63,36 +63,13 @@ struct CompressionStats {
   double lift_seconds = 0;
 };
 
-// A complete repair produced by the pre-pass: patched configurations with
-// merged metrics/provenance across the quotient solves and the concrete
-// fallback. The core pipeline picks up from here exactly as it would after
-// its own translate step.
-struct CompressedRepairResult {
-  RepairStatus status = RepairStatus::kSuccess;
-  RepairEdits edits;
-  std::vector<Config> patched_configs;
-  NetworkAnnotations patched_annotations;
-  std::vector<std::string> change_log;
-  std::string diff_text;
-  int lines_changed = 0;
-  int64_t predicted_cost = 0;
-  RepairStats stats;
-  obs::ProvenanceReport provenance;
-  // Merged translator traces (lift phase, then fallback phase) for the
-  // provenance config-lines join.
-  std::vector<EditTrace> edit_traces;
-  // Set when the lifted patch already re-verified clean (no fallback
-  // translation ran): the final network and HARC, for the pipeline to reuse
-  // instead of rebuilding.
-  std::unique_ptr<Network> rebuilt_network;
-  std::unique_ptr<Harc> rebuilt_harc;
-};
+using CompressedRepairResult = PatchedRepair;
 
 struct CompressionOutcome {
   // Engaged when the pre-pass produced a repair; disengaged when it declined
   // (too small, not symmetric enough, nothing compressible) and the caller
   // should run the uncompressed pipeline. `stats` is meaningful either way.
-  std::optional<CompressedRepairResult> result;
+  std::optional<PatchedRepair> result;
   CompressionStats stats;
 };
 
@@ -138,10 +115,10 @@ class CompressionCache {
 };
 
 // Runs the pre-pass under `options.compress` (never called with mode kOff).
-// Only per-destination granularity compresses; the caller checks. Structural
-// failures inside the *fallback* repair propagate as Error exactly like the
-// uncompressed pipeline's; failures inside the abstraction itself only ever
-// decline compression.
+// Only per-destination granularity compresses; the caller checks. A failure
+// anywhere in the pre-pass — the abstraction, the lifted patch or its
+// fallback repair — only declines compression; the uncompressed pipeline
+// then runs and reports any structural error itself.
 Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Harc& harc,
                                                const std::vector<Policy>& policies,
                                                const RepairOptions& options);

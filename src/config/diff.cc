@@ -1,7 +1,6 @@
 #include "config/diff.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "config/printer.h"
 #include "netbase/string_util.h"
@@ -83,15 +82,6 @@ ConfigDiff DiffConfigText(std::string_view before, std::string_view after) {
 
 ConfigDiff DiffConfigs(const Config& before, const Config& after) {
   return DiffConfigText(PrintConfig(before), PrintConfig(after));
-}
-
-int TotalLinesChanged(const std::vector<Config>& before, const std::vector<Config>& after) {
-  assert(before.size() == after.size());
-  int total = 0;
-  for (size_t i = 0; i < before.size(); ++i) {
-    total += DiffConfigs(before[i], after[i]).total();
-  }
-  return total;
 }
 
 }  // namespace cpr

@@ -42,10 +42,6 @@ ConfigDiff DiffConfigText(std::string_view before, std::string_view after);
 // Diff of two configs via their canonical printed form.
 ConfigDiff DiffConfigs(const Config& before, const Config& after);
 
-// Sum of per-device diffs across two parallel snapshots (device order must
-// match).
-int TotalLinesChanged(const std::vector<Config>& before, const std::vector<Config>& after);
-
 }  // namespace cpr
 
 #endif  // CPR_SRC_CONFIG_DIFF_H_

@@ -1,6 +1,5 @@
 #include "config/parser.h"
 
-#include <charconv>
 #include <string>
 #include <vector>
 
@@ -420,11 +419,6 @@ class ConfigParser {
     }
     config_.static_routes.push_back(route);
     return Status::Ok();
-  }
-
-  static bool ParseInt(std::string_view text, int* out) {
-    auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-    return ec == std::errc() && ptr == text.data() + text.size();
   }
 
   std::string_view text_;

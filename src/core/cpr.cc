@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "simulate/simulator.h"
+#include "translate/patch.h"
 #include "verify/checker.h"
 
 namespace cpr {
@@ -31,10 +32,8 @@ void JoinConfigChanges(const std::vector<EditTrace>& edit_traces,
   }
 }
 
-}  // namespace
-
-Result<Cpr> Cpr::FromConfigTexts(const std::vector<std::string>& texts,
-                                 NetworkAnnotations annotations) {
+// Parses every configuration text under one pipeline.parse_configs span.
+Result<std::vector<Config>> ParseConfigTexts(const std::vector<std::string>& texts) {
   std::vector<Config> configs;
   configs.reserve(texts.size());
   {
@@ -49,7 +48,18 @@ Result<Cpr> Cpr::FromConfigTexts(const std::vector<std::string>& texts,
   }
   obs::CurrentRegistry().gauge("pipeline.configs_parsed")
       .Set(static_cast<int64_t>(configs.size()));
-  return FromConfigs(std::move(configs), std::move(annotations));
+  return configs;
+}
+
+}  // namespace
+
+Result<Cpr> Cpr::FromConfigTexts(const std::vector<std::string>& texts,
+                                 NetworkAnnotations annotations) {
+  Result<std::vector<Config>> configs = ParseConfigTexts(texts);
+  if (!configs.ok()) {
+    return configs.error();
+  }
+  return FromConfigs(std::move(configs).value(), std::move(annotations));
 }
 
 Result<Cpr> Cpr::FromConfigs(std::vector<Config> configs, NetworkAnnotations annotations) {
@@ -67,31 +77,23 @@ Result<Cpr> Cpr::FromBaseline(std::shared_ptr<incremental::RepairSession> baseli
   if (baseline == nullptr) {
     return Error("incremental repair requires a baseline session");
   }
-  std::vector<Config> configs;
-  configs.reserve(texts.size());
-  {
-    obs::StageSpan span("pipeline.parse_configs");
-    for (size_t i = 0; i < texts.size(); ++i) {
-      Result<Config> parsed = ParseConfig(texts[i]);
-      if (!parsed.ok()) {
-        return Error("config " + std::to_string(i) + ": " + parsed.error().message());
-      }
-      configs.push_back(std::move(parsed).value());
-    }
+  Result<std::vector<Config>> configs = ParseConfigTexts(texts);
+  if (!configs.ok()) {
+    return configs.error();
   }
 
   incremental::IncrementalStats stats;
   stats.attempted = true;
   const auto diff_start = std::chrono::steady_clock::now();
   auto dirty = std::make_shared<incremental::DirtySet>(incremental::ComputeDirtySet(
-      baseline->network->configs(), baseline->annotations, configs, annotations));
+      baseline->network->configs(), baseline->annotations, *configs, annotations));
   stats.diff_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - diff_start)
           .count();
 
   Result<Network> network = [&]() {
     obs::StageSpan span("pipeline.build_network");
-    return Network::Build(std::move(configs), std::move(annotations));
+    return Network::Build(std::move(configs).value(), std::move(annotations));
   }();
   if (!network.ok()) {
     return network.error();
@@ -160,137 +162,100 @@ Result<CprReport> Cpr::RepairImpl(const std::vector<Policy>& policies,
     }
   }
 
-  // Incremental re-repair (DESIGN.md §12): when FromBaseline attached a
-  // retained session, reuse every clean group's baseline verdict, re-solve
-  // only the differ's dirty groups with warm-started solvers, and re-verify
-  // the result concretely (the engine falls back to a full repair on the
-  // patched snapshot if anything is still violated). When the engine
-  // declines — global dirt, changed policies, clone-incompatible snapshot —
-  // the ordinary pipeline below runs unchanged.
-  if (baseline_session_ != nullptr) {
-    obs::StageSpan incremental_span("pipeline.incremental");
-    Result<incremental::IncrementalOutcome> inc = incremental::TryIncrementalRepair(
-        *baseline_session_, *network_, harc_, *baseline_dirty_, policies,
-        options.repair, incremental_stats_);
-    if (!inc.ok()) {
-      return inc.error();
-    }
-    report.incremental = inc->stats;
-    obs::Registry& registry = obs::CurrentRegistry();
-    registry.counter("incremental.attempts").Increment();
-    registry.counter("incremental.groups_reused").Add(inc->stats.groups_reused);
-    registry.counter("incremental.groups_resolved").Add(inc->stats.groups_resolved);
-    registry.counter("incremental.warm_hits").Add(inc->stats.warm_hits);
-    if (inc->stats.fell_back) {
-      registry.counter("incremental.fallbacks").Increment();
-    }
-    if (inc->result.has_value()) {
-      registry.counter("incremental.applied").Increment();
-      incremental::IncrementalRepairResult& result = *inc->result;
-      report.status = result.status;
-      report.predicted_cost = result.predicted_cost;
-      report.stats = std::move(result.stats);
-      report.stats.lint_errors = report.lint_report.errors;
-      report.stats.lint_warnings = report.lint_report.warnings;
-      report.edits = std::move(result.edits);
-      report.provenance = std::move(result.provenance);
-      report.patched_configs = std::move(result.patched_configs);
-      report.patched_annotations = std::move(result.patched_annotations);
-      report.change_log = std::move(result.change_log);
-      report.diff_text = std::move(result.diff_text);
-      report.lines_changed = result.lines_changed;
-      JoinConfigChanges(result.edit_traces, &report.provenance);
-      Status closed = CloseLoop(policies, options, std::move(result.rebuilt_network),
-                                std::move(result.rebuilt_harc), &report);
-      if (!closed.ok()) {
-        return closed.error();
-      }
-      return report;
-    }
-  }
-
-  // Symmetry-quotient compression pre-pass (DESIGN.md §11): solve the
-  // policies on a small quotient network, lift the edits to every concrete
-  // router, re-verify concretely, and fall back to uncompressed repair for
-  // anything the lifted patch did not fix. When the pre-pass declines (too
-  // small, not symmetric enough, unsupported policy mix) the ordinary path
-  // below runs unchanged.
-  if (options.repair.compress.mode != CompressMode::kOff &&
-      options.repair.granularity == Granularity::kPerDst) {
-    Result<compress::CompressionOutcome> compressed =
-        compress::TryCompressedRepair(*network_, harc_, policies, options.repair);
-    if (!compressed.ok()) {
-      return compressed.error();
-    }
-    report.compression = compressed->stats;
-    if (compressed->result.has_value()) {
-      compress::CompressedRepairResult& result = *compressed->result;
-      report.status = result.status;
-      report.predicted_cost = result.predicted_cost;
-      report.stats = std::move(result.stats);
-      report.stats.lint_errors = report.lint_report.errors;
-      report.stats.lint_warnings = report.lint_report.warnings;
-      report.edits = std::move(result.edits);
-      report.provenance = std::move(result.provenance);
-      report.patched_configs = std::move(result.patched_configs);
-      report.patched_annotations = std::move(result.patched_annotations);
-      report.change_log = std::move(result.change_log);
-      report.diff_text = std::move(result.diff_text);
-      report.lines_changed = result.lines_changed;
-      JoinConfigChanges(result.edit_traces, &report.provenance);
-      Status closed = CloseLoop(policies, options, std::move(result.rebuilt_network),
-                                std::move(result.rebuilt_harc), &report);
-      if (!closed.ok()) {
-        return closed.error();
-      }
-      return report;
-    }
-  }
-
-  Result<RepairOutcome> outcome = [&]() {
+  // One repair path (DESIGN.md §7): an ordered chain — incremental
+  // re-repair (§12), the compression pre-pass (§11), the plain engine —
+  // where each step either declines to the next or yields a PatchedRepair.
+  // The pre-passes hand over their concretely re-verified network and HARC;
+  // only the plain path leaves the rebuild to CloseLoop. pipeline.repair
+  // spans the whole chain, and its elapsed time is the report's
+  // wall_seconds.
+  const auto repair_start = std::chrono::steady_clock::now();
+  Result<PatchedRepair> patched = [&]() -> Result<PatchedRepair> {
     obs::StageSpan repair_span("pipeline.repair");
     if (!options.trace_id.empty()) {
       repair_span.Annotate("trace_id", options.trace_id);
     }
-    return ComputeRepair(harc_, policies, options.repair);
+    // Incremental re-repair declines on global dirt, changed policies, a
+    // clone-incompatible snapshot, or a failed scoped or fallback solve.
+    if (baseline_session_ != nullptr) {
+      obs::StageSpan incremental_span("pipeline.incremental");
+      Result<incremental::IncrementalOutcome> inc = incremental::TryIncrementalRepair(
+          *baseline_session_, *network_, harc_, *baseline_dirty_, policies,
+          options.repair, incremental_stats_);
+      if (!inc.ok()) {
+        return inc.error();
+      }
+      report.incremental = inc->stats;
+      obs::Registry& registry = obs::CurrentRegistry();
+      registry.counter("incremental.attempts").Increment();
+      registry.counter("incremental.groups_reused").Add(inc->stats.groups_reused);
+      registry.counter("incremental.groups_resolved").Add(inc->stats.groups_resolved);
+      registry.counter("incremental.warm_hits").Add(inc->stats.warm_hits);
+      if (inc->stats.fell_back) {
+        registry.counter("incremental.fallbacks").Increment();
+      }
+      if (inc->result.has_value()) {
+        registry.counter("incremental.applied").Increment();
+        return std::move(*inc->result);
+      }
+    }
+    // Compression declines when the network is too small, not symmetric
+    // enough, or its policy mix does not map onto a quotient.
+    if (options.repair.compress.mode != CompressMode::kOff &&
+        options.repair.granularity == Granularity::kPerDst) {
+      Result<compress::CompressionOutcome> compressed =
+          compress::TryCompressedRepair(*network_, harc_, policies, options.repair);
+      if (!compressed.ok()) {
+        return compressed.error();
+      }
+      report.compression = compressed->stats;
+      if (compressed->result.has_value()) {
+        return std::move(*compressed->result);
+      }
+    }
+    Result<RepairOutcome> solved = ComputeRepair(harc_, policies, options.repair);
+    if (!solved.ok()) {
+      return solved.error();
+    }
+    PatchedRepair plain = FromSolve(std::move(solved).value());
+    // kPartial proceeds: the solved problems' edits are translated and
+    // re-verified, and the failed problems' policies simply show up in
+    // residual_graph_violations (Sound() stays false).
+    if (plain.HasRepair()) {
+      Status translated = TranslateRepair(*network_, &plain);
+      if (!translated.ok()) {
+        return translated.error();
+      }
+    }
+    return plain;
   }();
-  if (!outcome.ok()) {
-    return outcome.error();
+  if (!patched.ok()) {
+    return patched.error();
   }
-  report.status = outcome->status;
-  report.predicted_cost = outcome->predicted_cost;
-  report.stats = outcome->stats;
+  report.status = patched->status;
+  report.predicted_cost = patched->predicted_cost;
+  report.stats = std::move(patched->stats);
+  report.stats.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - repair_start).count();
   // The repair engine's stats start from zero; restore the gate's counts.
   report.stats.lint_errors = report.lint_report.errors;
   report.stats.lint_warnings = report.lint_report.warnings;
-  report.edits = outcome->edits;
-  // Copy provenance before the no-repair early return so unsat cores from
-  // fully-failed runs still reach `cpr explain`.
-  report.provenance = outcome->provenance;
-  if (!outcome->HasRepair()) {
-    return report;  // kUnsat / kTimeout / kUnsupported / kError: nothing to
-                    // translate.
+  report.edits = std::move(patched->edits);
+  // Provenance is adopted before the no-repair early return so unsat cores
+  // from fully-failed runs still reach `cpr explain`.
+  report.provenance = std::move(patched->provenance);
+  if (!patched->HasRepair()) {
+    return report;  // kUnsat / kTimeout / kUnsupported / kError: nothing was
+                    // translated.
   }
-  // kPartial proceeds: the solved problems' edits are translated and
-  // re-verified, and the failed problems' policies simply show up in
-  // residual_graph_violations (Sound() stays false).
-
-  Result<TranslationResult> translation = [&]() {
-    obs::StageSpan translate_span("pipeline.translate");
-    return TranslateEdits(*network_, outcome->edits);
-  }();
-  if (!translation.ok()) {
-    return translation.error();
-  }
-  report.patched_configs = translation->patched_configs;
-  report.patched_annotations = translation->annotations;
-  report.change_log = translation->change_log;
-  report.diff_text = translation->DiffText(*network_);
-  report.lines_changed = translation->LinesChanged();
-
-  JoinConfigChanges(translation->edit_traces, &report.provenance);
-
-  Status closed = CloseLoop(policies, options, nullptr, nullptr, &report);
+  report.patched_configs = std::move(patched->patched_configs);
+  report.patched_annotations = std::move(patched->patched_annotations);
+  report.change_log = std::move(patched->change_log);
+  report.diff_text = std::move(patched->diff_text);
+  report.lines_changed = patched->lines_changed;
+  JoinConfigChanges(patched->edit_traces, &report.provenance);
+  Status closed = CloseLoop(policies, options, std::move(patched->rebuilt_network),
+                            std::move(patched->rebuilt_harc), &report);
   if (!closed.ok()) {
     return closed.error();
   }
@@ -301,8 +266,8 @@ Status Cpr::CloseLoop(const std::vector<Policy>& policies, const CprOptions& opt
                       std::unique_ptr<Network> prebuilt_network,
                       std::unique_ptr<Harc> prebuilt_harc, CprReport* report) const {
   // Close the loop: rebuild the network and HARC from the patched
-  // configurations and re-check every policy. The compression pre-pass hands
-  // over the rebuilt pair when its lifted patch already re-verified clean.
+  // configurations and re-check every policy. The pre-passes hand over the
+  // pair they already rebuilt and re-verified.
   std::unique_ptr<Network> rebuilt = std::move(prebuilt_network);
   if (rebuilt == nullptr) {
     obs::StageSpan rebuild_span("pipeline.rebuild");

@@ -166,9 +166,9 @@ class Cpr {
   Result<CprReport> RepairImpl(const std::vector<Policy>& policies,
                                const CprOptions& options) const;
 
-  // Shared tail of Repair(): rebuild (unless the compression pre-pass hands
-  // over an already-rebuilt network/HARC), re-verify, simulate, lint-audit,
-  // and count impacted traffic classes.
+  // Shared tail of Repair(): rebuild (unless a pre-pass hands over its
+  // already re-verified network/HARC), re-verify, simulate, lint-audit, and
+  // count impacted traffic classes.
   Status CloseLoop(const std::vector<Policy>& policies, const CprOptions& options,
                    std::unique_ptr<Network> prebuilt_network,
                    std::unique_ptr<Harc> prebuilt_harc, CprReport* report) const;

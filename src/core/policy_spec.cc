@@ -87,8 +87,7 @@ Result<std::vector<Policy>> ParseSpecPolicies(std::string_view text,
     } else if (tokens[0] == "reachable") {
       int k = 1;
       if (tokens.size() == 6 && tokens[4] == "k") {
-        k = std::atoi(std::string(tokens[5]).c_str());
-        if (k < 1) {
+        if (!ParseInt(tokens[5], &k) || k < 1) {
           return LineError(line_number, "k must be a positive integer");
         }
       } else if (tokens.size() != 4) {

@@ -3,61 +3,12 @@
 #include <chrono>
 #include <utility>
 
-#include "config/diff.h"
-#include "verify/checker.h"
-
 namespace cpr::incremental {
 
 namespace {
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-template <typename T>
-void MoveAppend(std::vector<T>* into, std::vector<T>&& from) {
-  into->insert(into->end(), std::make_move_iterator(from.begin()),
-               std::make_move_iterator(from.end()));
-}
-
-void AppendEdits(RepairEdits* into, RepairEdits&& from) {
-  MoveAppend(&into->adjacencies, std::move(from.adjacencies));
-  MoveAppend(&into->redistributions, std::move(from.redistributions));
-  MoveAppend(&into->filters, std::move(from.filters));
-  MoveAppend(&into->static_routes, std::move(from.static_routes));
-  MoveAppend(&into->acls, std::move(from.acls));
-  MoveAppend(&into->costs, std::move(from.costs));
-  MoveAppend(&into->waypoints, std::move(from.waypoints));
-}
-
-// Folds the fallback phase's repair metrics into the scoped phase's, keeping
-// problem indices consistent with the appended problem_reports.
-void MergeRepairStats(RepairStats* into, RepairStats&& from) {
-  into->problems_formulated += from.problems_formulated;
-  into->problems_solved += from.problems_solved;
-  into->problems_failed += from.problems_failed;
-  into->destinations_skipped += from.destinations_skipped;
-  into->encode_seconds += from.encode_seconds;
-  into->solve_seconds += from.solve_seconds;
-  into->solve_wall_seconds += from.solve_wall_seconds;
-  into->wall_seconds += from.wall_seconds;
-  into->bool_vars += from.bool_vars;
-  into->hard_constraints += from.hard_constraints;
-  into->soft_constraints += from.soft_constraints;
-  MoveAppend(&into->problem_reports, std::move(from.problem_reports));
-  for (auto& [name, value] : from.solver_counter_totals) {
-    bool found = false;
-    for (auto& [existing, total] : into->solver_counter_totals) {
-      if (existing == name) {
-        total += value;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      into->solver_counter_totals.emplace_back(name, value);
-    }
-  }
 }
 
 }  // namespace
@@ -163,7 +114,8 @@ Result<IncrementalOutcome> TryIncrementalRepair(RepairSession& session,
     resolve.insert(resolve.end(), group.policies.begin(), group.policies.end());
   }
 
-  IncrementalRepairResult result;
+  PatchedRepair result;
+  result.status = RepairStatus::kNoViolations;
   if (!resolve.empty()) {
     // Hand exactly the dirty groups to the unchanged repair engine. Warm
     // per-problem solvers come from the session; merge propagation is
@@ -193,103 +145,33 @@ Result<IncrementalOutcome> TryIncrementalRepair(RepairSession& session,
               "); running the full pipeline");
       return outcome;
     }
-    result.status = solved->status;
-    result.edits = std::move(solved->edits);
-    result.predicted_cost = solved->predicted_cost;
-    result.stats = std::move(solved->stats);
-    result.provenance = std::move(solved->provenance);
-  } else {
-    result.status = RepairStatus::kNoViolations;
+    result = FromSolve(std::move(solved).value());
   }
 
-  Result<TranslationResult> translation = TranslateEdits(network, result.edits);
-  if (!translation.ok()) {
-    return translation.error();
-  }
-  result.lines_changed = translation->LinesChanged();
-  result.diff_text = translation->DiffText(network);
-  result.patched_configs = std::move(translation->patched_configs);
-  result.patched_annotations = std::move(translation->annotations);
-  result.change_log = std::move(translation->change_log);
-  result.edit_traces = std::move(translation->edit_traces);
-
-  // Concrete re-verification: rebuild the patched snapshot from scratch —
-  // never from the clone — and check every policy. This is the soundness
-  // anchor; the dirty set and the clone only decided how much work the
-  // scoped solve absorbed.
+  // Concrete re-verification (translate/patch.h): the patched snapshot is
+  // rebuilt from scratch — never from the clone — and every policy checked.
+  // This is the soundness anchor; the dirty set and the clone only decided
+  // how much work the scoped solve absorbed. A residual (the dirty set
+  // under-marked, or the scoped solve fixed less than it predicted) falls
+  // back to a repair of every policy on the rebuilt snapshot, so nothing on
+  // that path depends on the differ or the clone either.
+  RepairOptions fallback_options = options;
+  fallback_options.warm_backends = &session.warm;
   const auto verify_start = std::chrono::steady_clock::now();
-  Result<Network> rebuilt =
-      Network::Build(result.patched_configs, result.patched_annotations);
-  if (!rebuilt.ok()) {
-    return Error("incrementally patched configurations no longer form a valid network: " +
-                 rebuilt.error().message());
-  }
-  result.rebuilt_network = std::make_unique<Network>(std::move(rebuilt).value());
-  result.rebuilt_harc = std::make_unique<Harc>(Harc::Build(*result.rebuilt_network));
-  std::vector<Policy> residual = FindViolations(*result.rebuilt_harc, policies);
+  Result<std::vector<Policy>> residual = PatchAndReverify(
+      network, policies, fallback_options, FallbackScope::kAllPolicies, &result);
   outcome.stats.verify_seconds = SecondsSince(verify_start);
-
-  if (!residual.empty()) {
-    // The dirty set under-marked (or the scoped solve fixed less than it
-    // predicted): fall back to a full-scope repair on the concretely rebuilt
-    // patched snapshot — compression's fallback pattern. The solve input
-    // here was built from scratch, so nothing about this path depends on the
-    // differ or the clone.
-    outcome.stats.fell_back = true;
-    RepairOptions fallback_options = options;
-    fallback_options.compress.mode = CompressMode::kOff;
-    fallback_options.warm_backends = &session.warm;
-    Result<RepairOutcome> fallback =
-        ComputeRepair(*result.rebuilt_harc, policies, fallback_options);
-    if (!fallback.ok()) {
-      return fallback.error();
-    }
-    if (!fallback->HasRepair()) {
-      decline(std::string("fallback repair failed (") +
-              RepairStatusName(fallback->status) + "); running the full pipeline");
-      return outcome;
-    }
-    const int scoped_problems = static_cast<int>(result.stats.problem_reports.size());
-    for (obs::ProvenanceChain& chain : fallback->provenance.chains) {
-      chain.problem += scoped_problems;
-    }
-    for (obs::UnsatCoreReport& core : fallback->provenance.unsat_cores) {
-      core.problem += scoped_problems;
-    }
-    MoveAppend(&result.provenance.chains, std::move(fallback->provenance.chains));
-    MoveAppend(&result.provenance.orphan_edits,
-               std::move(fallback->provenance.orphan_edits));
-    MoveAppend(&result.provenance.unsat_cores,
-               std::move(fallback->provenance.unsat_cores));
-    MergeRepairStats(&result.stats, std::move(fallback->stats));
-    result.predicted_cost += fallback->predicted_cost;
-
-    Result<TranslationResult> second =
-        TranslateEdits(*result.rebuilt_network, fallback->edits);
-    if (!second.ok()) {
-      return second.error();
-    }
-    AppendEdits(&result.edits, std::move(fallback->edits));
-    result.diff_text += second->DiffText(*result.rebuilt_network);
-    MoveAppend(&result.change_log, std::move(second->change_log));
-    MoveAppend(&result.edit_traces, std::move(second->edit_traces));
-    result.patched_configs = std::move(second->patched_configs);
-    result.patched_annotations = std::move(second->annotations);
-    result.lines_changed = TotalLinesChanged(network.configs(), result.patched_configs);
-
-    Result<Network> final_network =
-        Network::Build(result.patched_configs, result.patched_annotations);
-    if (!final_network.ok()) {
-      return Error("fallback-patched configurations no longer form a valid network: " +
-                   final_network.error().message());
-    }
-    result.rebuilt_network = std::make_unique<Network>(std::move(final_network).value());
-    result.rebuilt_harc = std::make_unique<Harc>(Harc::Build(*result.rebuilt_network));
-    // Any violation still left is the ordinary pipeline's situation too
-    // (e.g. kPartial): CloseLoop re-verifies on this pair and reports it.
-    result.status = fallback->status;
+  if (!residual.ok()) {
+    return residual.error();
   }
-
+  outcome.stats.fell_back = !residual->empty();
+  if (!result.HasRepair()) {
+    decline(std::string("fallback repair failed (") + RepairStatusName(result.status) +
+            "); running the full pipeline");
+    return outcome;
+  }
+  // Any violation still left is the ordinary pipeline's situation too (e.g.
+  // kPartial): CloseLoop re-verifies on the handed-over pair and reports it.
   outcome.stats.applied = true;
   outcome.result = std::move(result);
   return outcome;

@@ -6,19 +6,17 @@
 // baseline verdict of every clean satisfied group and hands exactly the
 // dirty groups back to the unchanged repair engine, with warm-started
 // per-problem solvers and the O(S^2 E) merge-propagation pass disabled;
-// (3) translates the merged edits and re-verifies the patched snapshot
-// concretely — a from-scratch network and HARC rebuild, exactly like the
-// ordinary pipeline's close-the-loop step. Any residual violation (or a
-// failed scoped solve) disengages the incremental result entirely and the
-// caller runs the full pipeline, so soundness never depends on the dirty-set
-// analysis or the HARC clone.
+// (3) hands the merged edits to the shared patch, re-verify and fallback
+// routine (translate/patch.h): a from-scratch network and HARC rebuild, a
+// check of every policy, and one full-scope repair on the rebuilt snapshot
+// for any residual violation. A failed scoped or fallback solve disengages
+// the incremental result entirely and the caller runs the full pipeline, so
+// soundness never depends on the dirty-set analysis or the HARC clone.
 
 #ifndef CPR_SRC_INCREMENTAL_INCREMENTAL_H_
 #define CPR_SRC_INCREMENTAL_INCREMENTAL_H_
 
-#include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "arc/harc.h"
@@ -26,39 +24,18 @@
 #include "incremental/session.h"
 #include "incremental/stats.h"
 #include "netbase/result.h"
-#include "obs/provenance.h"
 #include "repair/repair.h"
 #include "topo/network.h"
-#include "translate/translator.h"
+#include "translate/patch.h"
 #include "verify/policy.h"
 
 namespace cpr::incremental {
 
-// A complete repair produced by the incremental engine, shaped exactly like
-// the compression pre-pass's result so the core pipeline consumes both the
-// same way. `rebuilt_network`/`rebuilt_harc` are the concretely re-verified
-// patched pair for CloseLoop to reuse instead of rebuilding.
-struct IncrementalRepairResult {
-  RepairStatus status = RepairStatus::kSuccess;
-  RepairEdits edits;
-  std::vector<Config> patched_configs;
-  NetworkAnnotations patched_annotations;
-  std::vector<std::string> change_log;
-  std::string diff_text;
-  int lines_changed = 0;
-  int64_t predicted_cost = 0;
-  RepairStats stats;
-  obs::ProvenanceReport provenance;
-  std::vector<EditTrace> edit_traces;
-  std::unique_ptr<Network> rebuilt_network;
-  std::unique_ptr<Harc> rebuilt_harc;
-};
-
 struct IncrementalOutcome {
-  // Engaged when the incremental path produced a clean, concretely
-  // re-verified repair; disengaged when it declined or fell back (stats say
-  // why) and the caller must run the ordinary pipeline.
-  std::optional<IncrementalRepairResult> result;
+  // Engaged when the incremental path produced a concretely re-verified
+  // repair; disengaged when it declined (stats say why) and the caller must
+  // run the ordinary pipeline.
+  std::optional<PatchedRepair> result;
   IncrementalStats stats;
 };
 

@@ -1,5 +1,7 @@
 #include "netbase/string_util.h"
 
+#include <charconv>
+
 namespace cpr {
 
 std::vector<std::string_view> SplitTokens(std::string_view text, std::string_view delims) {
@@ -48,6 +50,11 @@ std::string_view TrimWhitespace(std::string_view text) {
 
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
+}
+
+bool ParseInt(std::string_view text, int* out) {
+  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
+  return ec == std::errc() && ptr == text.data() + text.size();
 }
 
 std::string JoinStrings(const std::vector<std::string>& pieces, std::string_view sep) {

@@ -23,6 +23,11 @@ std::string_view TrimWhitespace(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 
+// Parses all of `text` as a decimal int (optional leading '-'). False on
+// anything else — trailing characters, a fraction, overflow — in which case
+// *out is unspecified.
+bool ParseInt(std::string_view text, int* out);
+
 // Joins `pieces` with `sep` between elements.
 std::string JoinStrings(const std::vector<std::string>& pieces, std::string_view sep);
 

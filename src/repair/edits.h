@@ -96,6 +96,20 @@ struct RepairEdits {
   bool empty() const { return TotalChanges() == 0; }
 };
 
+// Appends every edit of `from` to `into`, kind by kind, keeping order.
+inline void AppendEdits(const RepairEdits& from, RepairEdits* into) {
+  auto append = [](const auto& src, auto* dst) {
+    dst->insert(dst->end(), src.begin(), src.end());
+  };
+  append(from.adjacencies, &into->adjacencies);
+  append(from.redistributions, &into->redistributions);
+  append(from.filters, &into->filters);
+  append(from.static_routes, &into->static_routes);
+  append(from.acls, &into->acls);
+  append(from.costs, &into->costs);
+  append(from.waypoints, &into->waypoints);
+}
+
 // --- Canonical construct keys (provenance) ---
 //
 // One stable string per construct, shared by three layers: the encoder

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <exception>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -670,16 +671,7 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
     attach(problem_edits.acls);
     attach(problem_edits.costs);
     attach(problem_edits.waypoints);
-    auto splice = [](auto* into, const auto& from) {
-      into->insert(into->end(), from.begin(), from.end());
-    };
-    splice(&outcome.edits.adjacencies, problem_edits.adjacencies);
-    splice(&outcome.edits.redistributions, problem_edits.redistributions);
-    splice(&outcome.edits.filters, problem_edits.filters);
-    splice(&outcome.edits.static_routes, problem_edits.static_routes);
-    splice(&outcome.edits.acls, problem_edits.acls);
-    splice(&outcome.edits.costs, problem_edits.costs);
-    splice(&outcome.edits.waypoints, problem_edits.waypoints);
+    AppendEdits(problem_edits, &outcome.edits);
     outcome.stats.problem_reports[i].edits = std::move(problem_edits);
   }
 
@@ -775,6 +767,33 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
                                                      : RepairStatus::kSuccess;
   outcome.stats.wall_seconds = Seconds(wall_start);
   return outcome;
+}
+
+void MergeRepairStats(RepairStats from, RepairStats* into) {
+  into->problems_formulated += from.problems_formulated;
+  into->problems_solved += from.problems_solved;
+  into->problems_failed += from.problems_failed;
+  into->destinations_skipped += from.destinations_skipped;
+  into->encode_seconds += from.encode_seconds;
+  into->solve_seconds += from.solve_seconds;
+  into->solve_wall_seconds += from.solve_wall_seconds;
+  into->wall_seconds += from.wall_seconds;
+  into->bool_vars += from.bool_vars;
+  into->hard_constraints += from.hard_constraints;
+  into->soft_constraints += from.soft_constraints;
+  into->certify_checked += from.certify_checked;
+  into->certify_verified += from.certify_verified;
+  into->certify_failed += from.certify_failed;
+  into->certify_artifacts += from.certify_artifacts;
+  into->problem_reports.insert(into->problem_reports.end(),
+                               std::make_move_iterator(from.problem_reports.begin()),
+                               std::make_move_iterator(from.problem_reports.end()));
+  std::map<std::string, double> totals(into->solver_counter_totals.begin(),
+                                       into->solver_counter_totals.end());
+  for (const auto& [name, value] : from.solver_counter_totals) {
+    totals[name] += value;
+  }
+  into->solver_counter_totals.assign(totals.begin(), totals.end());
 }
 
 }  // namespace cpr

@@ -198,6 +198,13 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
                                     const std::vector<Policy>& policies,
                                     const RepairOptions& options);
 
+// Folds the stats of a further solve into `into`: sums every count and time
+// (certification totals included), appends the problem reports — `from`'s
+// problem i becomes `into`'s problem (old size + i), and callers renumber
+// provenance to match — and merges solver_counter_totals by name. The core
+// pipeline's lint counts and trace id are left alone.
+void MergeRepairStats(RepairStats from, RepairStats* into);
+
 }  // namespace cpr
 
 #endif  // CPR_SRC_REPAIR_REPAIR_H_

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "certify/certify.h"
 #include "config/parser.h"
 #include "config/printer.h"
 #include "core/cpr.h"
@@ -273,30 +274,46 @@ TEST(IncrementalEngineTest, ConcreteReverifyCatchesUnderMarkedDirtAndFallsBack) 
   // the dirty set claims nothing did. Every verdict is wrongly reused — and
   // the concrete re-verification must catch it and run the full-scope
   // fallback, ending in a sound repair. Soundness never rests on the differ.
+  // With certification on, the fallback problems' verdicts must also reach
+  // the merged totals that the stats-json "certify" section reports.
   FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kAlwaysBlocked, 4, 11);
-  RepairOptions options = InternalOptions();
-  Result<std::shared_ptr<RepairSession>> session = BuildSession(
-      ParseAll(scenario.working_configs), scenario.annotations, scenario.policies, options);
-  ASSERT_TRUE(session.ok()) << session.error().message();
+  for (certify::CertifyMode mode : {certify::CertifyMode::kOff, certify::CertifyMode::kOn}) {
+    SCOPED_TRACE(certify::CertifyModeName(mode));
+    RepairOptions options = InternalOptions();
+    options.certify = mode;
+    Result<std::shared_ptr<RepairSession>> session = BuildSession(
+        ParseAll(scenario.working_configs), scenario.annotations, scenario.policies, options);
+    ASSERT_TRUE(session.ok()) << session.error().message();
 
-  Result<Network> network =
-      Network::Build(ParseAll(scenario.broken_configs), scenario.annotations);
-  ASSERT_TRUE(network.ok());
-  DirtySet lying_dirty;  // Claims clean.
-  IncrementalStats seed;
-  std::optional<Harc> harc = PrepareHarc(**session, *network, lying_dirty, &seed);
-  ASSERT_TRUE(harc.has_value());  // Same topology: clone-compatible.
+    Result<Network> network =
+        Network::Build(ParseAll(scenario.broken_configs), scenario.annotations);
+    ASSERT_TRUE(network.ok());
+    DirtySet lying_dirty;  // Claims clean.
+    IncrementalStats seed;
+    std::optional<Harc> harc = PrepareHarc(**session, *network, lying_dirty, &seed);
+    ASSERT_TRUE(harc.has_value());  // Same topology: clone-compatible.
 
-  Result<IncrementalOutcome> outcome = TryIncrementalRepair(
-      **session, *network, *harc, lying_dirty, scenario.policies, options, seed);
-  ASSERT_TRUE(outcome.ok()) << outcome.error().message();
-  ASSERT_TRUE(outcome->result.has_value()) << outcome->stats.skipped_reason;
-  EXPECT_TRUE(outcome->stats.fell_back);
-  EXPECT_EQ(outcome->result->status, RepairStatus::kSuccess);
-  EXPECT_GT(outcome->result->lines_changed, 0);
-  ASSERT_NE(outcome->result->rebuilt_harc, nullptr);
-  EXPECT_TRUE(
-      FindViolations(*outcome->result->rebuilt_harc, scenario.policies).empty());
+    Result<IncrementalOutcome> outcome = TryIncrementalRepair(
+        **session, *network, *harc, lying_dirty, scenario.policies, options, seed);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().message();
+    ASSERT_TRUE(outcome->result.has_value()) << outcome->stats.skipped_reason;
+    EXPECT_TRUE(outcome->stats.fell_back);
+    EXPECT_EQ(outcome->result->status, RepairStatus::kSuccess);
+    EXPECT_GT(outcome->result->lines_changed, 0);
+    ASSERT_NE(outcome->result->rebuilt_harc, nullptr);
+    EXPECT_TRUE(
+        FindViolations(*outcome->result->rebuilt_harc, scenario.policies).empty());
+
+    const RepairStats& stats = outcome->result->stats;
+    int verified = 0;
+    for (const ProblemReport& problem : stats.problem_reports) {
+      verified += problem.certification == MaxSmtResult::Certification::kVerified ? 1 : 0;
+    }
+    EXPECT_EQ(verified > 0, mode == certify::CertifyMode::kOn);
+    EXPECT_EQ(stats.certify_checked, verified);
+    EXPECT_EQ(stats.certify_verified, verified);
+    EXPECT_EQ(stats.certify_failed, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------

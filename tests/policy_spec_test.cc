@@ -63,6 +63,9 @@ TEST(PolicySpecTest, RejectsMalformedLines) {
   for (const char* bad : {
            "always-blocked 10.2.0.0/16 10.30.0.0/16\n",           // missing ->
            "reachable 10.2.0.0/16 -> 10.20.0.0/16 k -3\n",        // bad k
+           "reachable 10.2.0.0/16 -> 10.20.0.0/16 k 2x\n",        // trailing garbage
+           "reachable 10.2.0.0/16 -> 10.20.0.0/16 k 1.5\n",       // not an integer
+           "reachable 10.2.0.0/16 -> 10.20.0.0/16 k 99999999999\n",  // overflows int
            "primary-path 10.1.0.0/16 -> 10.20.0.0/16\n",          // missing via
            "primary-path 10.1.0.0/16 -> 10.20.0.0/16 via A Z\n",  // unknown device
            "forbid 10.2.0.0/16 -> 10.30.0.0/16\n",                // unknown kind

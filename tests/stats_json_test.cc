@@ -4,19 +4,24 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "certify/certify.h"
+#include "config/printer.h"
 #include "core/cpr.h"
 #include "core/stats_report.h"
+#include "incremental/session.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "tests/example_network.h"
 #include "verify/checker.h"
+#include "workload/fattree.h"
 
 namespace cpr {
 namespace {
@@ -175,6 +180,117 @@ TEST_F(StatsJsonTest, CertifySectionIsSchemaOneAndValidates) {
   const size_t section = json.find("\"certify\":");
   ASSERT_NE(section, std::string::npos);
   EXPECT_EQ(json.find("\"schema_version\":1", section), section + 11);
+}
+
+// Runs `repair` under a fresh trace and checks the span skeleton every repair
+// path shares: one root pipeline.repair enclosing the whole producer chain
+// (the span of the `step` that produced the repair, lift and translate
+// included), the close-the-loop stages as roots, and wall_seconds covering
+// every stage of the chain.
+void ExpectRepairSkeleton(const std::function<Result<CprReport>()>& repair,
+                          const std::string& step) {
+  obs::Trace::Global().Enable();
+  Result<CprReport> report = repair();
+  const std::vector<obs::SpanRecord> spans = obs::Trace::Global().Records();
+  obs::Trace::Global().Disable();
+  ASSERT_TRUE(report.ok()) << report.error().message();
+
+  int32_t root = -1;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name == "pipeline.repair") {
+      ASSERT_EQ(root, -1) << "more than one pipeline.repair span";
+      root = static_cast<int32_t>(i);
+    }
+  }
+  ASSERT_GE(root, 0) << "no pipeline.repair span";
+  EXPECT_EQ(spans[static_cast<size_t>(root)].parent, -1);
+  const auto under_root = [&](const obs::SpanRecord& span) {
+    for (int32_t p = span.parent; p >= 0; p = spans[static_cast<size_t>(p)].parent) {
+      if (p == root) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const std::set<std::string> nested = {"pipeline.incremental", "pipeline.compress",
+                                        "pipeline.lift", "pipeline.translate"};
+  const std::set<std::string> roots = {"pipeline.reverify", "pipeline.simulate",
+                                       "pipeline.lint_audit"};
+  std::set<std::string> seen;
+  for (const obs::SpanRecord& span : spans) {
+    seen.insert(span.name);
+    if (nested.count(span.name) > 0) {
+      EXPECT_TRUE(under_root(span)) << span.name << " outside pipeline.repair";
+      EXPECT_GE(report->stats.wall_seconds, span.duration_seconds) << span.name;
+    }
+    if (roots.count(span.name) > 0) {
+      EXPECT_EQ(span.parent, -1) << span.name;
+    }
+  }
+  EXPECT_GE(report->stats.wall_seconds, spans[static_cast<size_t>(root)].duration_seconds);
+  for (const std::string& stage : {step, std::string("pipeline.translate"),
+                                   std::string("pipeline.reverify"),
+                                   std::string("pipeline.simulate"),
+                                   std::string("pipeline.lint_audit")}) {
+    EXPECT_EQ(seen.count(stage), 1u) << "missing " << stage;
+  }
+}
+
+TEST(RepairSpanTreeTest, PlainCompressedAndIncrementalShareOneSkeleton) {
+  FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kAlwaysBlocked, 4, 11);
+  Result<Cpr> broken = Cpr::FromConfigTexts(scenario.broken_configs, scenario.annotations);
+  ASSERT_TRUE(broken.ok()) << broken.error().message();
+  CprOptions options;
+  options.repair.backend = BackendChoice::kInternal;
+  options.repair.num_threads = 2;
+
+  {
+    SCOPED_TRACE("plain");
+    ExpectRepairSkeleton([&] { return broken->Repair(scenario.policies, options); },
+                         "repair.solve");
+  }
+  {
+    SCOPED_TRACE("compressed");
+    CprOptions compressed = options;
+    compressed.repair.compress.mode = CompressMode::kOn;
+    compressed.repair.compress.min_routers = 0;
+    ExpectRepairSkeleton([&] { return broken->Repair(scenario.policies, compressed); },
+                         "pipeline.compress");
+  }
+  {
+    SCOPED_TRACE("incremental");
+    // Re-break one traffic class of the repaired snapshot: a one-router edit
+    // the incremental engine re-solves against the repaired baseline.
+    Result<CprReport> repaired = broken->Repair(scenario.policies, options);
+    ASSERT_TRUE(repaired.ok() && repaired->Sound());
+    std::vector<std::string> texts;
+    for (const Config& config : repaired->patched_configs) {
+      texts.push_back(PrintConfig(config));
+    }
+    bool edited = false;
+    for (std::string& text : texts) {
+      const size_t deny = text.find(" deny ip 10.");
+      if (!edited && deny != std::string::npos &&
+          text.find("access-group") != std::string::npos) {
+        text.erase(deny, text.find('\n', deny) - deny + 1);
+        edited = true;
+      }
+    }
+    ASSERT_TRUE(edited) << "no repaired router carries a bound ACL deny";
+    Result<std::shared_ptr<incremental::RepairSession>> session =
+        incremental::BuildSession(repaired->patched_configs, repaired->patched_annotations,
+                                  scenario.policies, options.repair);
+    ASSERT_TRUE(session.ok()) << session.error().message();
+    Result<Cpr> warm = Cpr::FromBaseline(*session, texts, repaired->patched_annotations);
+    ASSERT_TRUE(warm.ok()) << warm.error().message();
+    ExpectRepairSkeleton(
+        [&] {
+          Result<CprReport> report = warm->Repair(scenario.policies, options);
+          EXPECT_TRUE(report.ok() && report->incremental.applied);
+          return report;
+        },
+        "pipeline.incremental");
+  }
 }
 
 TEST(StatsJsonStandaloneTest, BuildsWithoutRepairReport) {
