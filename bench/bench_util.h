@@ -29,18 +29,29 @@
 #include <vector>
 
 #include "core/cpr.h"
+#include "netbase/string_util.h"
 #include "obs/json.h"
 
 namespace cpr {
 
+// Numeric knobs parse strictly: a malformed value stops the bench with a
+// message naming the variable instead of silently running with 0.
 inline double EnvDouble(const char* name, double fallback) {
   const char* value = std::getenv(name);
-  return value != nullptr ? std::atof(value) : fallback;
+  if (value != nullptr && !ParseDouble(value, &fallback)) {
+    std::fprintf(stderr, "%s: expected a number, got '%s'\n", name, value);
+    std::exit(2);
+  }
+  return fallback;
 }
 
 inline int EnvInt(const char* name, int fallback) {
   const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
+  if (value != nullptr && !ParseInt(value, &fallback)) {
+    std::fprintf(stderr, "%s: expected an integer, got '%s'\n", name, value);
+    std::exit(2);
+  }
+  return fallback;
 }
 
 struct BenchConfig {

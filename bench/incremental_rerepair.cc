@@ -4,7 +4,7 @@
 // Build one RepairSession from a repaired fat-tree snapshot, then replay a
 // stream of one-router ACL edits (each re-breaking a single traffic class).
 // For every edit, run the same snapshot through (a) Cpr::FromBaseline with
-// the retained session — diff, HARC clone, warm re-solve of the dirty group,
+// the retained session — diff, HARC clone, re-solve of the dirty group,
 // concrete re-verification — and (b) Cpr::FromConfigTexts, the from-scratch
 // pipeline. Both sides parse the same texts and end concretely verified, so
 // the ratio is end-to-end, not engine-only. The session build itself is
@@ -18,11 +18,9 @@
 //   CPR_BENCH_POLICIES  PC1 policies over inter-pod traffic (default 8)
 //   CPR_BENCH_EDITS     edits replayed (default 8; capped by how many
 //                       routers carry a repaired, bound ACL deny)
-//   CPR_BENCH_BACKEND   "internal" (default) or "z3"; z3 additionally
-//                       exercises the warm-start advantage (the session's
-//                       per-problem solver instances carry learned state)
-//                       but inflates both sides with solver time, so the
-//                       internal backend is the cleaner pipeline ratio
+//   CPR_BENCH_BACKEND   "internal" (default) or "z3"; z3 inflates both
+//                       sides with solver time, so the internal backend is
+//                       the cleaner pipeline ratio
 //
 // Summary keys: `speedup` (full / incremental total, enforced
 // higher-is-better by scripts/bench_compare.py), `verdicts_equal` (edits
@@ -146,11 +144,11 @@ int main() {
     const double full_seconds = full_timer.Seconds();
 
     WallTimer incremental_timer;
-    cpr::Result<Cpr> warm =
+    cpr::Result<Cpr> pipeline =
         Cpr::FromBaseline(*session, texts, repaired->patched_annotations);
     cpr::Result<CprReport> incremental =
-        warm.ok() ? warm->Repair(scenario.policies, options)
-                  : cpr::Result<CprReport>(warm.error());
+        pipeline.ok() ? pipeline->Repair(scenario.policies, options)
+                      : cpr::Result<CprReport>(pipeline.error());
     const double incremental_seconds = incremental_timer.Seconds();
 
     if (!full.ok() || !incremental.ok()) {
@@ -176,7 +174,6 @@ int main() {
         .Set("incremental_seconds", incremental_seconds)
         .Set("groups_reused", incremental->incremental.groups_reused)
         .Set("groups_resolved", incremental->incremental.groups_resolved)
-        .Set("warm_hits", incremental->incremental.warm_hits)
         .Set("fell_back", incremental->incremental.fell_back ? 1 : 0)
         .Set("verdict_equal", equal ? 1 : 0);
   }

@@ -78,6 +78,19 @@ if ! grep -q 'lint audit: clean' "$repair_log"; then
 fi
 rm -f "$repair_log"
 echo "lint audit OK"
+
+echo "== strict numeric flags =="
+# Garbage in a numeric flag is a usage error naming the flag, never a 0.
+if flag_err="$(build/tools/cpr repair examples/data/paper-example \
+     examples/data/paper-example.policies --threads 4x 2>&1)"; then
+  echo "strict flags FAILED: --threads 4x was accepted" >&2
+  exit 1
+fi
+grep -q -- "--threads: expected an integer, got '4x'" <<<"$flag_err" || {
+  echo "strict flags FAILED: error does not name the flag: $flag_err" >&2
+  exit 1
+}
+echo "strict flags OK"
 for key in '"schema_version"' '"stages"' '"counters"' '"gauges"' \
            '"histograms"' '"repair"' '"problems"' '"solve_wall_seconds"' \
            '"cdcl.decisions"' '"cdcl.heap_picks"' '"lint"' \
@@ -404,7 +417,7 @@ cmake -B build-asan -S . -DCPR_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$jobs"
 # Leak detection is off: Z3 keeps global state alive at exit.
 ASAN_OPTIONS=detect_leaks=0 ctest --test-dir build-asan --output-on-failure \
-  -j "$jobs" -R 'Robust|Repair|Workload|Solver|Smt|Sat|MaxSat|Failover|FaultInjection|Backend|Obs|Counter|Gauge|Histogram|Registry|Span|Json|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|DirtySet|PrepareHarc|WarmBackend|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
+  -j "$jobs" -R 'Robust|Repair|Workload|Solver|Smt|Sat|MaxSat|Failover|FaultInjection|Backend|Obs|Counter|Gauge|Histogram|Registry|Span|Json|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|DirtySet|PrepareHarc|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
 
 echo "== TSan configuration =="
 cmake -B build-tsan -S . -DCPR_TSAN=ON >/dev/null
@@ -415,12 +428,13 @@ cmake --build build-tsan -j "$jobs" --target obs_test repair_test serve_test \
 # serve tests validate the daemon (workers + shared solve pool + drain), the
 # telemetry tests validate the event-log/flight-recorder concurrent writers
 # and scrape-mid-burst exposition, the
-# incremental tests validate warm re-solves sharing that worker pool, and the
-# certify tests validate the checking wrapper running on those same workers.
+# incremental tests validate scoped re-solves sharing that worker pool, and
+# the certify tests validate the checking wrapper running on those same
+# workers.
 # The certify tests drive Z3 directly; uninstrumented libz3 needs the
 # scoped suppression in scripts/tsan.supp (our code stays fully checked).
 TSAN_OPTIONS="halt_on_error=1:suppressions=$PWD/scripts/tsan.supp" \
   ctest --test-dir build-tsan --output-on-failure \
-  -j "$jobs" -R 'Counter|Gauge|Histogram|Registry|Span|Json|Repair|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|DirtySet|PrepareHarc|WarmBackend|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
+  -j "$jobs" -R 'Counter|Gauge|Histogram|Registry|Span|Json|Repair|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|DirtySet|PrepareHarc|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
 
 echo "== all checks passed =="

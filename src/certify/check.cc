@@ -350,8 +350,8 @@ CheckResult CheckModelOnly(const Certificate& cert) {
 
 // Re-encodes the problem into a mirror MaxSAT solver and requires the
 // generated input stream, variable watermark, and soft inventory to match
-// the certificate's baseline exactly. Only meaningful for cold solves — a
-// warm certificate's baseline is session history, not this problem.
+// the certificate's baseline exactly. Only meaningful for cold certificates
+// (every engine certificate is; the flag is part of the artifact schema).
 CheckResult VerifyEncodingBaseline(const ConstraintSystem& system,
                                    const Certificate& cert) {
   MaxSatSolver mirror;
@@ -481,8 +481,7 @@ CheckResult CheckCertified(const ConstraintSystem& system, MaxSmtResult* result)
     // element type — every certificate is created non-const by its backend.
     cert = std::const_pointer_cast<Certificate>(result->certificate);
   } else {
-    // Someone else (a warm backend, a caller) still holds the evidence;
-    // copy-on-write.
+    // Someone else (a caller) still holds the evidence; copy-on-write.
     cert = std::make_shared<Certificate>(*result->certificate);
   }
   result->certificate = cert;

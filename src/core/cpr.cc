@@ -71,7 +71,7 @@ Result<Cpr> Cpr::FromConfigs(std::vector<Config> configs, NetworkAnnotations ann
   return Cpr(std::make_unique<Network>(std::move(network).value()));
 }
 
-Result<Cpr> Cpr::FromBaseline(std::shared_ptr<incremental::RepairSession> baseline,
+Result<Cpr> Cpr::FromBaseline(std::shared_ptr<const incremental::RepairSession> baseline,
                               const std::vector<std::string>& texts,
                               NetworkAnnotations annotations) {
   if (baseline == nullptr) {
@@ -190,7 +190,6 @@ Result<CprReport> Cpr::RepairImpl(const std::vector<Policy>& policies,
       registry.counter("incremental.attempts").Increment();
       registry.counter("incremental.groups_reused").Add(inc->stats.groups_reused);
       registry.counter("incremental.groups_resolved").Add(inc->stats.groups_resolved);
-      registry.counter("incremental.warm_hits").Add(inc->stats.warm_hits);
       if (inc->stats.fell_back) {
         registry.counter("incremental.fallbacks").Increment();
       }

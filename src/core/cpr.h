@@ -87,9 +87,9 @@ struct CprReport {
   std::string certify_artifact_dir;
 
   // Incremental re-repair telemetry (DESIGN.md §12): dirty-set size, group
-  // verdict/edit reuse, warm solver hits, and whether the scoped result fell
-  // back to a full repair. attempted == false unless the pipeline was built
-  // with FromBaseline.
+  // verdict/edit reuse, and whether the scoped result fell back to a full
+  // repair. attempted == false unless the pipeline was built with
+  // FromBaseline.
   incremental::IncrementalStats incremental;
 
   // Provenance: one chain per emitted edit (policy → problem → flipped soft
@@ -133,9 +133,11 @@ class Cpr {
   // against `texts`; when the edit is destination-scopable the session's
   // HARC is cloned with only dirty destinations rebuilt, and Repair() runs
   // the incremental path: clean groups reuse their baseline verdicts, dirty
-  // groups re-solve with warm-started solvers, and the result is re-verified
-  // concretely (falling back to a full repair on any residual violation).
-  static Result<Cpr> FromBaseline(std::shared_ptr<incremental::RepairSession> baseline,
+  // groups re-solve exactly as a full repair would, and the result is
+  // re-verified concretely (falling back to a full repair on any residual
+  // violation). The session is only read, so one session can serve any
+  // number of pipelines.
+  static Result<Cpr> FromBaseline(std::shared_ptr<const incremental::RepairSession> baseline,
                                   const std::vector<std::string>& texts,
                                   NetworkAnnotations annotations = {});
 
@@ -179,7 +181,7 @@ class Cpr {
   // Set by FromBaseline: the retained session, the differ's verdict on this
   // snapshot, and the preparation stats (attempted/cloned/dirty counts) that
   // seed the report's incremental section even when the path declines.
-  std::shared_ptr<incremental::RepairSession> baseline_session_;
+  std::shared_ptr<const incremental::RepairSession> baseline_session_;
   std::shared_ptr<const incremental::DirtySet> baseline_dirty_;
   incremental::IncrementalStats incremental_stats_;
 };

@@ -215,7 +215,7 @@ void WriteIncremental(obs::JsonWriter* w, const CprReport& report) {
   w->Key("groups_reused").Int(i.groups_reused);
   w->Key("groups_resolved").Int(i.groups_resolved);
   w->Key("warm_hits").Int(i.warm_hits);
-  w->Key("warm_misses").Int(i.warm_misses);
+  w->Key("warm_misses").Int(0);  // Both always 0; schema v1 is append-only.
   w->Key("fell_back").Bool(i.fell_back);
   w->Key("diff_seconds").Double(i.diff_seconds);
   w->Key("clone_seconds").Double(i.clone_seconds);

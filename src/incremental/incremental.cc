@@ -52,7 +52,7 @@ std::optional<Harc> PrepareHarc(const RepairSession& session, const Network& net
   return clone;
 }
 
-Result<IncrementalOutcome> TryIncrementalRepair(RepairSession& session,
+Result<IncrementalOutcome> TryIncrementalRepair(const RepairSession& session,
                                                 const Network& network, const Harc& harc,
                                                 const DirtySet& dirty,
                                                 const std::vector<Policy>& policies,
@@ -117,13 +117,11 @@ Result<IncrementalOutcome> TryIncrementalRepair(RepairSession& session,
   PatchedRepair result;
   result.status = RepairStatus::kNoViolations;
   if (!resolve.empty()) {
-    // Hand exactly the dirty groups to the unchanged repair engine. Warm
-    // per-problem solvers come from the session; merge propagation is
-    // skipped because every un-encoded ETG already reflects the current
-    // configurations (clean ones by the differ, dirty non-violated ones by
-    // the clone's rebuild).
+    // Hand exactly the dirty groups to the unchanged repair engine. Merge
+    // propagation is skipped because every un-encoded ETG already reflects
+    // the current configurations (clean ones by the differ, dirty
+    // non-violated ones by the clone's rebuild).
     RepairOptions scoped = options;
-    scoped.warm_backends = &session.warm;
     scoped.propagate_merge = false;
     scoped.compress.mode = CompressMode::kOff;
     const auto solve_start = std::chrono::steady_clock::now();
@@ -131,13 +129,6 @@ Result<IncrementalOutcome> TryIncrementalRepair(RepairSession& session,
     outcome.stats.solve_seconds = SecondsSince(solve_start);
     if (!solved.ok()) {
       return solved.error();
-    }
-    for (const auto& [name, value] : solved->stats.solver_counter_totals) {
-      if (name == "warm.hit") {
-        outcome.stats.warm_hits += static_cast<int>(value);
-      } else if (name == "warm.miss") {
-        outcome.stats.warm_misses += static_cast<int>(value);
-      }
     }
     if (!solved->HasRepair()) {
       outcome.stats.fell_back = true;
@@ -155,11 +146,9 @@ Result<IncrementalOutcome> TryIncrementalRepair(RepairSession& session,
   // under-marked, or the scoped solve fixed less than it predicted) falls
   // back to a repair of every policy on the rebuilt snapshot, so nothing on
   // that path depends on the differ or the clone either.
-  RepairOptions fallback_options = options;
-  fallback_options.warm_backends = &session.warm;
   const auto verify_start = std::chrono::steady_clock::now();
   Result<std::vector<Policy>> residual = PatchAndReverify(
-      network, policies, fallback_options, FallbackScope::kAllPolicies, &result);
+      network, policies, options, FallbackScope::kAllPolicies, &result);
   outcome.stats.verify_seconds = SecondsSince(verify_start);
   if (!residual.ok()) {
     return residual.error();

@@ -4,8 +4,9 @@
 // engine (1) uses the config differ's dirty set to clone the session's HARC
 // onto the new snapshot, rebuilding only dirty destinations; (2) reuses the
 // baseline verdict of every clean satisfied group and hands exactly the
-// dirty groups back to the unchanged repair engine, with warm-started
-// per-problem solvers and the O(S^2 E) merge-propagation pass disabled;
+// dirty groups back to the unchanged repair engine — the same per-problem
+// solves a full repair runs — with the O(S^2 E) merge-propagation pass
+// disabled;
 // (3) hands the merged edits to the shared patch, re-verify and fallback
 // routine (translate/patch.h): a from-scratch network and HARC rebuild, a
 // check of every policy, and one full-scope repair on the rebuilt snapshot
@@ -51,7 +52,7 @@ std::optional<Harc> PrepareHarc(const RepairSession& session, const Network& net
 // accumulated during preparation and is extended in place into
 // outcome.stats. Structural errors (unmappable PC4 paths, a patch breaking
 // the network) propagate as Error, mirroring the ordinary pipeline.
-Result<IncrementalOutcome> TryIncrementalRepair(RepairSession& session,
+Result<IncrementalOutcome> TryIncrementalRepair(const RepairSession& session,
                                                 const Network& network, const Harc& harc,
                                                 const DirtySet& dirty,
                                                 const std::vector<Policy>& policies,

@@ -7,25 +7,6 @@
 
 namespace cpr::incremental {
 
-MaxSmtBackend* WarmBackendStore::BackendFor(const std::string& key,
-                                            BackendChoice choice) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto map_key = std::make_pair(key, static_cast<int>(choice));
-  auto it = backends_.find(map_key);
-  if (it == backends_.end()) {
-    std::unique_ptr<MaxSmtBackend> backend = choice == BackendChoice::kZ3
-                                                 ? MakeWarmZ3Backend()
-                                                 : MakeWarmInternalBackend();
-    it = backends_.emplace(std::move(map_key), std::move(backend)).first;
-  }
-  return it->second.get();
-}
-
-int64_t WarmBackendStore::instances() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(backends_.size());
-}
-
 Result<std::shared_ptr<RepairSession>> BuildSession(std::vector<Config> configs,
                                                     NetworkAnnotations annotations,
                                                     std::vector<Policy> policies,

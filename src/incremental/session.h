@@ -2,20 +2,17 @@
 //
 // A RepairSession captures everything worth keeping about a repaired (or
 // verified-clean) configuration snapshot: the parsed network, its HARC, the
-// policy set, a per-group verdict record over the repair engine's
-// must-solve-together destination groups, and a store of warm solver
-// instances keyed by problem. When the next snapshot of the same lineage
-// arrives, the incremental engine diffs it against the session's
-// configurations and reuses every clean group's verdict, re-solving only the
-// dirty ones with warm-started solvers.
+// policy set, and a per-group verdict record over the repair engine's
+// must-solve-together destination groups. When the next snapshot of the
+// same lineage arrives, the incremental engine diffs it against the
+// session's configurations and reuses every clean group's verdict,
+// re-solving only the dirty ones. A session holds no solver state and is
+// never mutated after BuildSession.
 
 #ifndef CPR_SRC_INCREMENTAL_SESSION_H_
 #define CPR_SRC_INCREMENTAL_SESSION_H_
 
-#include <map>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,7 +20,6 @@
 #include "netbase/result.h"
 #include "repair/options.h"
 #include "repair/repair.h"
-#include "solver/backend.h"
 #include "topo/network.h"
 #include "verify/policy.h"
 
@@ -40,24 +36,6 @@ struct GroupRecord {
   bool satisfied = false;
 };
 
-// Owns warm solver instances keyed by (problem key, backend choice) and
-// hands them to the repair engine through the WarmBackendProvider hook.
-// Creation is guarded by a mutex so concurrent problems can request their
-// backends; each returned instance must still be driven by one worker at a
-// time, which the repair engine guarantees per problem key and the serve
-// layer guarantees per session (a session is checked out by one request).
-class WarmBackendStore : public WarmBackendProvider {
- public:
-  MaxSmtBackend* BackendFor(const std::string& key, BackendChoice choice) override;
-
-  // Distinct warm instances created so far (diagnostics).
-  int64_t instances() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::pair<std::string, int>, std::unique_ptr<MaxSmtBackend>> backends_;
-};
-
 // Retained state of one snapshot. `network` owns the configurations
 // (network->configs() is the diffing baseline); `harc` is built over it and
 // is cloned — never mutated — by later re-repairs.
@@ -67,7 +45,6 @@ struct RepairSession {
   NetworkAnnotations annotations;
   std::vector<Policy> policies;
   std::vector<GroupRecord> groups;
-  WarmBackendStore warm;
 };
 
 // Builds a session for a snapshot — typically the patched configurations of

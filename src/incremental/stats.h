@@ -40,9 +40,7 @@ struct IncrementalStats {
   // Dirty (or baseline-unsatisfied) groups handed back to the repair engine.
   int groups_resolved = 0;
 
-  // --- Warm solver starts (from the per-problem warm backend store) ---
-  int warm_hits = 0;
-  int warm_misses = 0;
+  int warm_hits = 0;  // Always 0 (no warm solving); benchmark readers remain.
 
   // The incremental result left residual violations after the concrete
   // re-verification (or the scoped solve failed) and the ordinary

@@ -1,6 +1,7 @@
 #include "netbase/string_util.h"
 
 #include <charconv>
+#include <cmath>
 
 namespace cpr {
 
@@ -52,9 +53,27 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
-bool ParseInt(std::string_view text, int* out) {
+namespace {
+
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
   auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
   return ec == std::errc() && ptr == text.data() + text.size();
+}
+
+}  // namespace
+
+bool ParseInt(std::string_view text, int* out) { return ParseWhole(text, out); }
+
+bool ParseInt64(std::string_view text, int64_t* out) { return ParseWhole(text, out); }
+
+bool ParseDouble(std::string_view text, double* out) {
+  return ParseWhole(text, out) && std::isfinite(*out);
+}
+
+std::string FormatDouble(double value) {
+  char buffer[32];  // The longest shortest-round-trip double has 24 chars.
+  return std::string(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
 }
 
 std::string JoinStrings(const std::vector<std::string>& pieces, std::string_view sep) {

@@ -1,9 +1,10 @@
-// Small string helpers shared by the configuration lexer/printer and the
-// bench harness. Kept dependency-free.
+// Small string helpers shared by the configuration lexer/printer, the CLI
+// and wire parsers, and the bench harness. Kept dependency-free.
 
 #ifndef CPR_SRC_NETBASE_STRING_UTIL_H_
 #define CPR_SRC_NETBASE_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +28,14 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 // anything else — trailing characters, a fraction, overflow — in which case
 // *out is unspecified.
 bool ParseInt(std::string_view text, int* out);
+bool ParseInt64(std::string_view text, int64_t* out);
+
+// Parses all of `text` as a finite decimal number ("2", "-0.5", "4e-07").
+// False on anything else — trailing characters, "inf"/"nan", overflow.
+bool ParseDouble(std::string_view text, double* out);
+
+// Shortest text that ParseDouble reads back as exactly `value`.
+std::string FormatDouble(double value);
 
 // Joins `pieces` with `sep` between elements.
 std::string JoinStrings(const std::vector<std::string>& pieces, std::string_view sep);

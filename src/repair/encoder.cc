@@ -84,13 +84,7 @@ Status RepairEncoder::Encode() {
 
 void RepairEncoder::KeepSoft(ExprId expr, bool original, std::string label,
                              std::initializer_list<DeviceId> devices) {
-  // Materialize the negation unconditionally so the expression arena — and
-  // with it ConstraintSystem::HardFingerprint — does not depend on which
-  // polarity the original configuration happens to have. A config edit that
-  // only flips a construct's original value then leaves the hard fingerprint
-  // intact and warm solver state stays reusable.
-  ExprId negated = system_.Not(expr);
-  ExprId keep = original ? expr : negated;
+  ExprId keep = original ? expr : system_.Not(expr);
   // One line of configuration per violated construct soft (Table 2's unit of
   // utility). Under kDevices these become the tiebreak.
   system_.AddSoft(keep, 1, std::move(label));

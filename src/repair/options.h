@@ -16,8 +16,6 @@ namespace compress {
 class CompressionCache;
 }  // namespace compress
 
-class MaxSmtBackend;
-
 // Where the repair engine runs per-problem solver work. By default it spawns
 // its own `num_threads` workers per call; a long-running server instead
 // installs a shared executor (serve/thread_pool.h) so the per-dst problems
@@ -50,20 +48,6 @@ enum class Granularity {
 enum class BackendChoice {
   kZ3,        // Z3 Optimize; required when PC4 policies are present.
   kInternal,  // Homegrown CDCL/MaxSAT; boolean-only policy sets.
-};
-
-// Supplies per-problem warm solver instances for incremental re-repair
-// (src/incremental). The repair engine asks for a backend keyed by the
-// problem's stable identity (its destination group) and, when the provider
-// returns one, uses it as the primary solver for that problem — failover and
-// fault-injection wrapping still apply. Returning nullptr means "no retained
-// state for this key; solve cold". Implementations own the returned
-// instances; the repair engine guarantees one problem (and thus one key) is
-// solved by one worker at a time.
-class WarmBackendProvider {
- public:
-  virtual ~WarmBackendProvider() = default;
-  virtual MaxSmtBackend* BackendFor(const std::string& key, BackendChoice choice) = 0;
 };
 
 // What the MaxSMT objective minimizes (paper §5.2: "Similar sets of
@@ -168,10 +152,7 @@ struct RepairOptions {
   // and the paper pipeline are measured uncompressed unless asked).
   CompressOptions compress;
 
-  // --- Incremental re-repair hooks (src/incremental; DESIGN.md §12) ---
-  // Warm solver state retained across repair calls, keyed per problem.
-  // nullptr (the default) solves every problem cold.
-  WarmBackendProvider* warm_backends = nullptr;
+  // --- Incremental re-repair hook (src/incremental; DESIGN.md §12) ---
   // Propagate merged changes to un-encoded dETGs/tcETGs after the merge loop
   // (the O(S^2 E) alignment pass). The incremental engine disables this and
   // instead rebuilds exactly the dirty ETGs from the patched network, which

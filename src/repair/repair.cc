@@ -181,27 +181,8 @@ std::vector<RepairProblem> PartitionAllGroups(const Harc& harc,
 
 namespace {
 
-// Non-owning adapter so a provider-owned warm backend can sit at the bottom
-// of the (owning) fault-injection/failover decorator stack.
-class BorrowedBackend final : public MaxSmtBackend {
- public:
-  explicit BorrowedBackend(MaxSmtBackend* inner) : inner_(inner) {}
-  MaxSmtResult Solve(const ConstraintSystem& system, double timeout_seconds) override {
-    return inner_->Solve(system, timeout_seconds);
-  }
-  MaxSmtResult SolveCertified(const ConstraintSystem& system,
-                              double timeout_seconds) override {
-    return inner_->SolveCertified(system, timeout_seconds);
-  }
-  std::string name() const override { return inner_->name(); }
-
- private:
-  MaxSmtBackend* inner_;
-};
-
-// Stable per-problem identity for warm-state retention: the destination
-// group. Groups are disjoint within a run, so the key also serializes access
-// to the provider's per-key backend instance.
+// Stable per-problem identity: the destination group. Names the problem's
+// certificate artifact.
 std::string ProblemKey(const RepairProblem& problem) {
   std::string key = "d";
   for (SubnetId d : problem.dsts) {
@@ -211,24 +192,15 @@ std::string ProblemKey(const RepairProblem& problem) {
   return key;
 }
 
-}  // namespace
-
-// Builds one worker's solver stack: the chosen engine (or, when the
-// incremental engine retained warm state for this problem, that borrowed
-// warm instance), optionally wrapped in deterministic fault injection,
-// always wrapped in the failover/retry/exception-isolation decorator. Each
-// worker owns its own stack (Z3 contexts are created per call, so workers
-// never share Z3 state).
+// Builds one worker's solver stack: the chosen engine, optionally wrapped in
+// deterministic fault injection, always wrapped in the
+// failover/retry/exception-isolation decorator. Each worker owns its own
+// stack (Z3 contexts are created per call, so workers never share Z3 state).
 std::unique_ptr<MaxSmtBackend> MakeWorkerBackend(const RepairOptions& options,
-                                                 const Deadline& deadline,
-                                                 MaxSmtBackend* warm_primary = nullptr) {
-  std::unique_ptr<MaxSmtBackend> primary;
-  if (warm_primary != nullptr) {
-    primary = std::make_unique<BorrowedBackend>(warm_primary);
-  } else {
-    primary = options.backend == BackendChoice::kZ3 ? MakeZ3Backend()
-                                                    : MakeInternalBackend();
-  }
+                                                 const Deadline& deadline) {
+  std::unique_ptr<MaxSmtBackend> primary = options.backend == BackendChoice::kZ3
+                                               ? MakeZ3Backend()
+                                               : MakeInternalBackend();
   if (options.fault_injection.enabled()) {
     primary = MakeFaultInjectingBackend(std::move(primary), options.fault_injection);
   }
@@ -253,6 +225,8 @@ std::unique_ptr<MaxSmtBackend> MakeWorkerBackend(const RepairOptions& options,
   policy.deadline = deadline;
   return MakeFailoverBackend(std::move(primary), std::move(secondary), policy);
 }
+
+}  // namespace
 
 Result<RepairOutcome> ComputeRepair(const Harc& original,
                                     const std::vector<Policy>& policies,
@@ -396,13 +370,7 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
           {
             obs::RegistryScope registry_scope(request_registry);
             obs::TraceScope trace_scope(request_trace);
-            MaxSmtBackend* warm =
-                options.warm_backends == nullptr
-                    ? nullptr
-                    : options.warm_backends->BackendFor(ProblemKey(problems[i]),
-                                                        options.backend);
-            std::unique_ptr<MaxSmtBackend> backend =
-                MakeWorkerBackend(options, deadline, warm);
+            std::unique_ptr<MaxSmtBackend> backend = MakeWorkerBackend(options, deadline);
             solve_one(i, backend.get());
           }
           {
@@ -423,26 +391,13 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
       auto worker = [&]() {
         obs::RegistryScope registry_scope(request_registry);
         obs::TraceScope trace_scope(request_trace);
-        // Without warm state one solver stack serves the whole worker; with a
-        // provider the primary is problem-keyed, so the stack is per problem.
-        std::unique_ptr<MaxSmtBackend> shared;
-        if (options.warm_backends == nullptr) {
-          shared = MakeWorkerBackend(options, deadline);
-        }
+        std::unique_ptr<MaxSmtBackend> backend = MakeWorkerBackend(options, deadline);
         while (true) {
           size_t index = next.fetch_add(1);
           if (index >= problems.size()) {
             return;
           }
-          if (options.warm_backends != nullptr) {
-            MaxSmtBackend* warm = options.warm_backends->BackendFor(
-                ProblemKey(problems[index]), options.backend);
-            std::unique_ptr<MaxSmtBackend> backend =
-                MakeWorkerBackend(options, deadline, warm);
-            solve_one(index, backend.get());
-          } else {
-            solve_one(index, shared.get());
-          }
+          solve_one(index, backend.get());
         }
       };
       int worker_count = std::max(

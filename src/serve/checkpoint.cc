@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "netbase/durable_file.h"
+#include "netbase/string_util.h"
 
 namespace cpr::serve {
 
@@ -37,7 +38,7 @@ std::string CheckpointStore::EncodeRecord(const CheckpointRecord& record) {
   WireFields fields;
   fields.emplace_back("id", std::to_string(record.id));
   fields.emplace_back("attempts", std::to_string(record.attempts));
-  fields.emplace_back("budget", std::to_string(record.budget));
+  fields.emplace_back("budget", FormatDouble(record.budget));
   WireFields spec_fields = FieldsFromSpec(record.spec);
   fields.insert(fields.end(), spec_fields.begin(), spec_fields.end());
   return EncodeWireLine(fields);
@@ -52,11 +53,27 @@ Result<CheckpointRecord> CheckpointStore::DecodeRecord(const std::string& line) 
   if (!view.Has("id")) {
     return Error("checkpoint record missing id");
   }
+  Result<uint64_t> id = view.GetInt<uint64_t>("id");
+  if (!id.ok()) {
+    return id.error();
+  }
+  Result<int> attempts = view.GetInt<int>("attempts");
+  if (!attempts.ok()) {
+    return attempts.error();
+  }
+  Result<double> budget = view.GetDouble("budget");
+  if (!budget.ok()) {
+    return budget.error();
+  }
+  Result<RequestSpec> spec = SpecFromFields(*fields);
+  if (!spec.ok()) {
+    return spec.error();
+  }
   CheckpointRecord record;
-  record.id = static_cast<uint64_t>(view.GetInt("id"));
-  record.attempts = static_cast<int>(view.GetInt("attempts"));
-  record.budget = view.GetDouble("budget");
-  record.spec = SpecFromFields(*fields);
+  record.id = *id;
+  record.attempts = *attempts;
+  record.budget = *budget;
+  record.spec = std::move(spec).value();
   return record;
 }
 

@@ -157,10 +157,10 @@ double Daemon::BudgetOf(const Deadline& deadline) const {
   if (deadline.unbounded()) {
     return 0;
   }
-  if (deadline.Expired()) {
-    return -1;
-  }
-  return deadline.RemainingSeconds();
+  // One read: a budget that runs out between two reads must come out
+  // expired, never as 0 (unbounded).
+  const double remaining = deadline.RemainingSeconds();
+  return remaining > 0 ? remaining : -1;
 }
 
 Deadline Daemon::DeadlineFromBudget(double budget) const {
@@ -429,10 +429,10 @@ Daemon::Attempt Daemon::ExecuteOnce(Request* request) {
 
   // Incremental re-repair: check out any session retained from this source's
   // previous sound result. Checked-out means exclusive — a concurrent request
-  // for the same source finds the map empty and takes the cold path. If this
-  // attempt throws, the session is deliberately dropped with the stack (its
-  // warm solver state is suspect); the next submission rebuilds cold.
-  std::shared_ptr<incremental::RepairSession> session;
+  // for the same source finds the map empty and takes the full path. If this
+  // attempt throws, the session is deliberately dropped with the stack; the
+  // next submission runs the full pipeline and retains a fresh one.
+  std::shared_ptr<const incremental::RepairSession> session;
   if (request->spec.incremental != "off") {
     session = CheckOutSession(request->spec.config_dir);
   }
@@ -446,8 +446,8 @@ Daemon::Attempt Daemon::ExecuteOnce(Request* request) {
   std::shared_ptr<const Cpr> pipeline;
   std::shared_ptr<compress::CompressionCache> compression;
   if (session != nullptr) {
-    // Warm path: skip the snapshot cache — its from-scratch HARC build is
-    // exactly the cost the session's clone-and-rebuild avoids.
+    // Incremental path: skip the snapshot cache — its from-scratch HARC
+    // build is exactly the cost the session's clone-and-rebuild avoids.
     Result<NetworkAnnotations> annotations = ParseSpecAnnotations(inputs->policy_text);
     if (!annotations.ok()) {
       return reject_with_session(annotations.error().message());
@@ -486,8 +486,8 @@ Daemon::Attempt Daemon::ExecuteOnce(Request* request) {
   }
   // The snapshot's compression cache persists the base partition and
   // quotients across re-submissions of the same snapshot; differ-driven
-  // invalidation drops it with the entry. The warm path has none — its
-  // scoped problems run with compression off.
+  // invalidation drops it with the entry. The incremental path has none —
+  // its scoped problems run with compression off.
   options->repair.compress.cache = compression != nullptr ? compression.get() : nullptr;
 
   Result<CprReport> report = pipeline->Repair(*policies, *options);
@@ -501,7 +501,7 @@ Daemon::Attempt Daemon::ExecuteOnce(Request* request) {
     // repaired snapshot when this run produced a sound patch, from the
     // verified input snapshot when nothing was violated. Any other outcome
     // keeps the old session — its baseline is still the last sound state.
-    std::shared_ptr<incremental::RepairSession> next;
+    std::shared_ptr<const incremental::RepairSession> next;
     if (report->Sound() && !request->deadline.Expired()) {
       std::vector<Config> configs = report->patched_configs.empty()
                                         ? pipeline->network().configs()
@@ -700,25 +700,25 @@ size_t Daemon::queue_depth() const {
   return queue_.size();
 }
 
-std::shared_ptr<incremental::RepairSession> Daemon::CheckOutSession(
+std::shared_ptr<const incremental::RepairSession> Daemon::CheckOutSession(
     const std::string& source) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(source);
   if (it == sessions_.end()) {
     return nullptr;
   }
-  std::shared_ptr<incremental::RepairSession> session = std::move(it->second);
+  std::shared_ptr<const incremental::RepairSession> session = std::move(it->second);
   sessions_.erase(it);
   serve_metrics_.gauge("serve.sessions").Set(static_cast<int64_t>(sessions_.size()));
   return session;
 }
 
 void Daemon::CheckInSession(const std::string& source,
-                            std::shared_ptr<incremental::RepairSession> session) {
+                            std::shared_ptr<const incremental::RepairSession> session) {
   std::lock_guard<std::mutex> lock(mu_);
   sessions_[source] = std::move(session);
-  // Sessions hold a full network + HARC + warm solvers each; bound them like
-  // the snapshot cache. Eviction only costs the evicted source a cold start.
+  // Sessions hold a full network + HARC each; bound them like the snapshot
+  // cache. Eviction only costs the evicted source one full repair.
   while (options_.cache_capacity > 0 && sessions_.size() > options_.cache_capacity) {
     auto victim = sessions_.begin();
     if (victim->first == source) {

@@ -237,14 +237,14 @@ class Daemon {
                      bool solved);
 
   // Session retention for incremental re-repair. A session is checked OUT
-  // of the map for the duration of a request (exclusive use — its warm
-  // solver store must be driven by one request at a time) and checked back
-  // IN afterwards, rebuilt from the repaired snapshot when the result was
-  // sound. A concurrent request for the same source finds the map empty and
-  // takes the cold path — never a data race, at worst a missed reuse.
-  std::shared_ptr<incremental::RepairSession> CheckOutSession(const std::string& source);
+  // of the map for the duration of a request (exclusive use — the request
+  // decides what replaces it) and checked back IN afterwards, rebuilt from
+  // the repaired snapshot when the result was sound. A concurrent request
+  // for the same source finds the map empty and takes the full path — at
+  // worst a missed reuse.
+  std::shared_ptr<const incremental::RepairSession> CheckOutSession(const std::string& source);
   void CheckInSession(const std::string& source,
-                      std::shared_ptr<incremental::RepairSession> session);
+                      std::shared_ptr<const incremental::RepairSession> session);
 
   // Budget convention for checkpoint records (serve/checkpoint.h): > 0
   // remaining seconds, 0 unbounded, < 0 expired.
@@ -280,7 +280,7 @@ class Daemon {
   int64_t completed_total_ = 0;  // Terminal requests (done + failed).
   double exec_seconds_ema_ = 0;  // Feeds the retry-after hint.
   // source (config_dir) -> retained session; see CheckOutSession.
-  std::map<std::string, std::shared_ptr<incremental::RepairSession>> sessions_;
+  std::map<std::string, std::shared_ptr<const incremental::RepairSession>> sessions_;
   std::mt19937 jitter_rng_;
 
   std::vector<std::thread> workers_;

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <utility>
 
+#include "netbase/string_util.h"
+
 namespace cpr::serve {
 
 namespace fs = std::filesystem;
@@ -81,10 +83,10 @@ WireFields FieldsFromSpec(const RequestSpec& spec) {
   put("config_dir", spec.config_dir);
   put("policy_file", spec.policy_file);
   if (spec.deadline_seconds != defaults.deadline_seconds) {
-    put("deadline", std::to_string(spec.deadline_seconds));
+    put("deadline", FormatDouble(spec.deadline_seconds));
   }
   if (spec.timeout_seconds != defaults.timeout_seconds) {
-    put("timeout", std::to_string(spec.timeout_seconds));
+    put("timeout", FormatDouble(spec.timeout_seconds));
   }
   if (spec.backend != defaults.backend) put("backend", spec.backend);
   if (spec.granularity != defaults.granularity) put("granularity", spec.granularity);
@@ -101,18 +103,34 @@ WireFields FieldsFromSpec(const RequestSpec& spec) {
   return fields;
 }
 
-RequestSpec SpecFromFields(const WireFields& fields) {
+Result<RequestSpec> SpecFromFields(const WireFields& fields) {
   WireView view(fields);
   RequestSpec spec;
+  Result<double> deadline = view.GetDouble("deadline", spec.deadline_seconds);
+  if (!deadline.ok()) {
+    return deadline.error();
+  }
+  Result<double> timeout = view.GetDouble("timeout", spec.timeout_seconds);
+  if (!timeout.ok()) {
+    return timeout.error();
+  }
+  Result<int> max_retries = view.GetInt("max_retries", spec.max_retries);
+  if (!max_retries.ok()) {
+    return max_retries.error();
+  }
+  Result<int> simulate = view.GetInt("simulate", spec.simulate ? 1 : 0);
+  if (!simulate.ok()) {
+    return simulate.error();
+  }
+  spec.deadline_seconds = *deadline;
+  spec.timeout_seconds = *timeout;
+  spec.max_retries = *max_retries;
+  spec.simulate = *simulate != 0;
   spec.tag = view.Get("tag");
   spec.config_dir = view.Get("config_dir");
   spec.policy_file = view.Get("policy_file");
-  spec.deadline_seconds = view.GetDouble("deadline", spec.deadline_seconds);
-  spec.timeout_seconds = view.GetDouble("timeout", spec.timeout_seconds);
   spec.backend = view.Get("backend", spec.backend);
   spec.granularity = view.Get("granularity", spec.granularity);
-  spec.max_retries = static_cast<int>(view.GetInt("max_retries", spec.max_retries));
-  spec.simulate = view.GetInt("simulate", spec.simulate ? 1 : 0) != 0;
   spec.lint = view.Get("lint", spec.lint);
   spec.compress = view.Get("compress", spec.compress);
   spec.incremental = view.Get("incremental", spec.incremental);

@@ -2,9 +2,10 @@
 //
 // RequestSpec is the unit that crosses every boundary in the daemon — the
 // wire (cprd submit), the queue, the checkpoint file — so it has exactly one
-// serialization (the wire field format) used everywhere. Parsing is
-// tolerant: unknown keys are ignored so old daemons accept new clients'
-// hints, and missing keys take the defaults below.
+// serialization (the wire field format) used everywhere. Unknown keys are
+// ignored so old daemons accept new clients' hints, and missing keys take
+// the defaults below; a numeric value must parse whole or the spec is
+// rejected.
 
 #ifndef CPR_SRC_SERVE_REQUEST_H_
 #define CPR_SRC_SERVE_REQUEST_H_
@@ -40,7 +41,7 @@ struct RequestSpec {
   std::string compress = "off";       // "on" | "off" | "auto" (compress/).
   // "auto": a re-submission from the same source (config_dir) re-repairs
   // incrementally against the session the daemon retained from the previous
-  // sound result — diff, reuse clean groups' verdicts, warm-solve dirty
+  // sound result — diff, reuse clean groups' verdicts, re-solve dirty
   // ones. "off": always the full pipeline, and no session is retained.
   std::string incremental = "auto";
   // "on" | "off" | "auto": independent certificate checking of every solver
@@ -63,9 +64,11 @@ struct RequestSpec {
 Result<CprOptions> ToCprOptions(const RequestSpec& spec);
 
 // Spec <-> wire fields. FieldsFromSpec omits keys holding their default so
-// lines stay short; SpecFromFields applies defaults for missing keys.
+// lines stay short and writes numbers so they read back exactly;
+// SpecFromFields applies defaults for missing keys and fails on a malformed
+// number ("simulate=true", "deadline=abc").
 WireFields FieldsFromSpec(const RequestSpec& spec);
-RequestSpec SpecFromFields(const WireFields& fields);
+Result<RequestSpec> SpecFromFields(const WireFields& fields);
 
 // Loads the request's inputs from disk: every regular file in config_dir
 // (lexicographic order, deterministic device ids) plus the policy text.

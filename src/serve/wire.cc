@@ -6,8 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 namespace cpr::serve {
@@ -112,40 +110,29 @@ Result<WireFields> DecodeWireLine(std::string_view line) {
   return fields;
 }
 
-bool WireView::Has(std::string_view key) const {
+const std::string* WireView::Find(std::string_view key) const {
   for (const auto& [k, v] : fields_) {
     if (k == key) {
-      return true;
+      return &v;
     }
   }
-  return false;
+  return nullptr;
 }
+
+bool WireView::Has(std::string_view key) const { return Find(key) != nullptr; }
 
 std::string WireView::Get(std::string_view key, std::string_view fallback) const {
-  for (const auto& [k, v] : fields_) {
-    if (k == key) {
-      return v;
-    }
-  }
-  return std::string(fallback);
+  const std::string* value = Find(key);
+  return value != nullptr ? *value : std::string(fallback);
 }
 
-double WireView::GetDouble(std::string_view key, double fallback) const {
-  for (const auto& [k, v] : fields_) {
-    if (k == key) {
-      return std::atof(v.c_str());
-    }
+Result<double> WireView::GetDouble(std::string_view key, double fallback) const {
+  const std::string* value = Find(key);
+  double out = fallback;
+  if (value != nullptr && !ParseDouble(*value, &out)) {
+    return Error(std::string(key) + ": expected a number, got '" + *value + "'");
   }
-  return fallback;
-}
-
-int64_t WireView::GetInt(std::string_view key, int64_t fallback) const {
-  for (const auto& [k, v] : fields_) {
-    if (k == key) {
-      return std::atoll(v.c_str());
-    }
-  }
-  return fallback;
+  return out;
 }
 
 // --- AF_UNIX plumbing ----------------------------------------------------

@@ -17,12 +17,14 @@
 #ifndef CPR_SRC_SERVE_WIRE_H_
 #define CPR_SRC_SERVE_WIRE_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "netbase/result.h"
+#include "netbase/string_util.h"
 
 namespace cpr::serve {
 
@@ -49,10 +51,26 @@ class WireView {
   bool Has(std::string_view key) const;
   // First value for `key`, or `fallback`.
   std::string Get(std::string_view key, std::string_view fallback = "") const;
-  double GetDouble(std::string_view key, double fallback = 0) const;
-  int64_t GetInt(std::string_view key, int64_t fallback = 0) const;
+  // First value for `key` parsed strictly (the whole value must be a
+  // number, and an integer must fit T), or `fallback` when the key is
+  // absent. A malformed value is an error naming the key.
+  Result<double> GetDouble(std::string_view key, double fallback = 0) const;
+  template <typename T>
+  Result<T> GetInt(std::string_view key, T fallback = T()) const {
+    const std::string* value = Find(key);
+    if (value == nullptr) {
+      return fallback;
+    }
+    int64_t parsed = 0;
+    if (!ParseInt64(*value, &parsed) || !std::in_range<T>(parsed)) {
+      return Error(std::string(key) + ": expected an integer, got '" + *value + "'");
+    }
+    return static_cast<T>(parsed);
+  }
 
  private:
+  const std::string* Find(std::string_view key) const;
+
   const WireFields& fields_;
 };
 

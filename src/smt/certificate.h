@@ -78,8 +78,9 @@ struct Certificate {
 
   // True when `events` begins at an empty solver (cold solve): the events
   // before baseline_events are exactly the encoding of the problem, and an
-  // in-process checker can regenerate and compare them. Warm-started solves
-  // carry history from earlier problems and set this false.
+  // in-process checker can regenerate and compare them. Every engine solve
+  // is cold; the field stays in artifact schema v1, and an artifact that
+  // says false skips the encoding replay.
   bool cold = true;
 
   // --- kClausal payload -----------------------------------------------

@@ -55,15 +55,6 @@ class MaxSatSolver {
   void SetDeadline(Deadline deadline) { sat_.SetDeadline(deadline); }
   bool TimedOut() const { return timed_out_; }
 
-  // Forgets every soft clause so the instance can be re-solved with a fresh
-  // soft set against the same hard clauses (warm start): Solve mutates soft
-  // weights and appends relaxed clones, so softs are single-use. Clauses the
-  // SAT engine learned are kept. The relaxation residue a previous Solve
-  // left behind is inert — selector guards are only enforced under
-  // assumption, and exactly-one constraints range over relaxation variables
-  // no re-added soft mentions.
-  void ResetSofts() { softs_.clear(); }
-
   const MaxSatStats& stats() const { return stats_; }
   const SatStats& sat_stats() const { return sat_.stats(); }
 

@@ -4,7 +4,8 @@
 // Z3's Optimize facility (the paper's choice, required for PC4's integer
 // edge costs) or the repository's own CDCL + core-guided MaxSAT stack
 // (boolean-only, fully self-contained). bench/ablation_backend compares
-// them.
+// them. Every Solve call is independent: an engine keeps no solver state
+// between calls, so each per-destination problem is its own solve (§5.3).
 
 #ifndef CPR_SRC_SOLVER_BACKEND_H_
 #define CPR_SRC_SOLVER_BACKEND_H_
@@ -134,7 +135,7 @@ class MaxSmtBackend {
   // falls back to a plain solve — the certifying wrapper then builds the
   // weaker model-only certificate from the result itself. Engines with a
   // proof-logging path (the internal CDCL/MaxSAT stack) override this;
-  // decorators (fault injection, failover, borrowing) must forward it.
+  // decorators (fault injection, failover, certification) must forward it.
   virtual MaxSmtResult SolveCertified(const ConstraintSystem& system, double timeout_seconds) {
     return Solve(system, timeout_seconds);
   }
@@ -147,16 +148,6 @@ std::unique_ptr<MaxSmtBackend> MakeZ3Backend();
 
 // Homegrown Tseitin -> CDCL/MaxSAT pipeline (boolean problems only).
 std::unique_ptr<MaxSmtBackend> MakeInternalBackend();
-
-// Warm-started variants for incremental re-repair: each instance retains
-// solver state between Solve calls and reuses it when the next system
-// carries the same HardFingerprint (same hards/variables, possibly
-// different softs). On a fingerprint mismatch or any non-optimal outcome
-// they fall back to a cold solve — results are always identical to the
-// cold backends, only faster on repeats. NOT thread-safe: a warm instance
-// must be owned by one problem key and called from one thread at a time.
-std::unique_ptr<MaxSmtBackend> MakeWarmZ3Backend();
-std::unique_ptr<MaxSmtBackend> MakeWarmInternalBackend();
 
 }  // namespace cpr
 

@@ -165,50 +165,6 @@ bool ConstraintSystem::EvalOnModel(ExprId e, const std::vector<bool>& bool_value
   return false;
 }
 
-uint64_t ConstraintSystem::HardFingerprint() const {
-  uint64_t hash = 1469598103934665603ull;  // FNV offset basis.
-  auto mix = [&hash](uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (8 * i)) & 0xff;
-      hash *= 1099511628211ull;  // FNV prime.
-    }
-  };
-  auto mix_string = [&](const std::string& s) {
-    mix(s.size());
-    for (char c : s) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ull;
-    }
-  };
-  mix(nodes_.size());
-  for (const ExprNode& n : nodes_) {
-    mix(static_cast<uint64_t>(n.kind));
-    mix(static_cast<uint64_t>(n.bool_var));
-    mix(n.children.size());
-    for (ExprId c : n.children) {
-      mix(static_cast<uint64_t>(c));
-    }
-    mix(n.terms.size());
-    for (const LinearTerm& t : n.terms) {
-      mix(static_cast<uint64_t>(t.var));
-      mix(static_cast<uint64_t>(t.coefficient));
-    }
-    mix(static_cast<uint64_t>(n.constant));
-  }
-  mix(bool_names_.size());
-  mix(int_vars_.size());
-  for (const IntVarInfo& v : int_vars_) {
-    mix_string(v.name);
-    mix(static_cast<uint64_t>(v.lower));
-    mix(static_cast<uint64_t>(v.upper));
-  }
-  mix(hard_.size());
-  for (ExprId e : hard_) {
-    mix(static_cast<uint64_t>(e));
-  }
-  return hash;
-}
-
 int64_t ConstraintSystem::TotalSoftWeight() const {
   int64_t total = 0;
   for (const SoftConstraint& s : soft_) {

@@ -118,14 +118,6 @@ class ConstraintSystem {
   bool EvalOnModel(ExprId e, const std::vector<bool>& bool_values,
                    const std::vector<int64_t>& int_values) const;
 
-  // FNV-1a digest of everything a warm-started solver keeps between runs:
-  // the full expression arena, the bool/int variable universe (names and
-  // integer bounds — backends assert bounds as hard constraints), and the
-  // hard-constraint root list. Softs and labels are deliberately excluded;
-  // two systems with equal fingerprints may differ only in their soft sets,
-  // which is exactly what warm solving re-asserts per run.
-  uint64_t HardFingerprint() const;
-
  private:
   ExprId AddNode(ExprNode node);
 

@@ -1,7 +1,6 @@
 #include "solver/fault_injection.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <span>
@@ -237,17 +236,31 @@ Result<FaultInjectionSpec> FaultInjectionSpec::Parse(const std::string& text) {
     }
     std::string key = part.substr(0, eq);
     std::string value = part.substr(eq + 1);
+    const auto malformed = [&](const char* expected) {
+      return Error("fault spec option " + key + ": expected " + expected + ", got '" +
+                   value + "'");
+    };
+    int64_t seed = 0;
     if (key == "p") {
-      spec.probability = std::atof(value.c_str());
+      if (!ParseDouble(value, &spec.probability)) {
+        return malformed("a number");
+      }
       if (spec.probability < 0 || spec.probability > 1) {
         return Error("fault probability must be in [0, 1]");
       }
     } else if (key == "seed") {
-      spec.seed = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!ParseInt64(value, &seed) || !std::in_range<uint32_t>(seed)) {
+        return malformed("an unsigned 32-bit integer");
+      }
+      spec.seed = static_cast<uint32_t>(seed);
     } else if (key == "max") {
-      spec.max_injections = std::atoi(value.c_str());
+      if (!ParseInt(value, &spec.max_injections)) {
+        return malformed("an integer");
+      }
     } else if (key == "slow") {
-      spec.slow_seconds = std::atof(value.c_str());
+      if (!ParseDouble(value, &spec.slow_seconds)) {
+        return malformed("a number");
+      }
     } else {
       return Error("unknown fault spec option '" + key + "' (p|seed|max|slow)");
     }

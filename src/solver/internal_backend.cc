@@ -96,29 +96,6 @@ void ExtractInternalCore(const ConstraintSystem& system, double timeout_seconds,
   }
 }
 
-// The CDCL engine accumulates statistics across Solve calls; a warm backend
-// reporting per-solve numbers subtracts the totals it saw last run.
-SatStats DiffSatStats(const SatStats& now, const SatStats& prev) {
-  SatStats d;
-  d.decisions = now.decisions - prev.decisions;
-  d.propagations = now.propagations - prev.propagations;
-  d.conflicts = now.conflicts - prev.conflicts;
-  d.restarts = now.restarts - prev.restarts;
-  d.learnt_deleted = now.learnt_deleted - prev.learnt_deleted;
-  d.learnt_literals = now.learnt_literals - prev.learnt_literals;
-  d.activity_rescales = now.activity_rescales - prev.activity_rescales;
-  d.heap_picks = now.heap_picks - prev.heap_picks;
-  d.fallback_picks = now.fallback_picks - prev.fallback_picks;
-  return d;
-}
-
-MaxSatStats DiffMaxSatStats(const MaxSatStats& now, const MaxSatStats& prev) {
-  MaxSatStats d;
-  d.cores = now.cores - prev.cores;
-  d.sat_calls = now.sat_calls - prev.sat_calls;
-  return d;
-}
-
 // Copies the CDCL/MaxSAT engine's per-solve statistics onto the result (for
 // per-problem reports) and accumulates them into the global registry (for
 // run-wide totals). The solver keeps plain local counters on its hot path;
@@ -147,17 +124,15 @@ void FlushSolverCounters(const SatStats& sat, const MaxSatStats& wpm,
 
 // Fills the clausal part of a certificate from the engine state after a
 // solve: the proof events, the MaxSAT layer's entry watermarks + soft
-// inventory, and the Fu-Malik iteration trail. A cold solve's log dies with
-// the call, so the certificate steals it (`take_log`); a warm session log
-// must survive for the next solve and is copied (three flat memcpys).
+// inventory, and the Fu-Malik iteration trail. The log dies with the solve
+// call, so the certificate steals it.
 void FillClausalCertificate(Certificate* cert, const std::string& backend,
                             Certificate::Claim claim, const MaxSatSolver& maxsat,
-                            ProofLog* log, bool take_log, bool cold) {
+                            ProofLog* log) {
   cert->kind = Certificate::Kind::kClausal;
   cert->claim = claim;
   cert->backend = backend;
-  cert->cold = cold;
-  cert->events = take_log ? log->TakeStream() : log->stream();
+  cert->events = log->TakeStream();
   const MaxSatSolver::CertTrail& trail = maxsat.cert_trail();
   cert->baseline_vars = trail.baseline_vars;
   cert->baseline_events = trail.baseline_events;
@@ -229,7 +204,7 @@ class InternalBackend final : public MaxSmtBackend {
         result.status = MaxSmtResult::Status::kUnsat;
         if (certify) {
           FillClausalCertificate(cert.get(), name(), Certificate::Claim::kUnsat,
-                                 maxsat, &log, /*take_log=*/true, /*cold=*/true);
+                                 maxsat, &log);
         }
         ExtractInternalCore(system, timeout_seconds, &result, cert.get());
         result.certificate = cert;
@@ -251,175 +226,19 @@ class InternalBackend final : public MaxSmtBackend {
     }
     if (certify) {
       FillClausalCertificate(cert.get(), name(), Certificate::Claim::kOptimal,
-                             maxsat, &log, /*take_log=*/true, /*cold=*/true);
+                             maxsat, &log);
       cert->cost = solution->cost;
       cert->model = solution->model;
       result.certificate = cert;
     }
     return result;
   }
-};
-
-// Warm-start variant for incremental re-repair: keeps the CDCL solver (with
-// its learnt clauses and Tseitin encoding of the hard constraints) alive
-// between Solve calls. A re-solve whose system carries the same
-// HardFingerprint skips re-encoding everything but the softs — unit soft
-// clauses are their own selectors, so a warm run adds zero new clauses —
-// and restarts the search from the learnt state (PR 5's assumption
-// machinery: softs are enforced via assumptions, never baked-in clauses).
-// Any mismatch, timeout, UNSAT, or unsupported system drops the state and
-// falls back to a cold solve; warmth is a pure accelerator.
-//
-// Certified warm solves keep one ProofLog alive with the state: the log
-// spans the whole session, each solve records its entry watermarks, and the
-// certificate ships the full history (cold == false marks that the baseline
-// prefix is session history, not a fresh encoding).
-class WarmInternalBackend final : public MaxSmtBackend {
- public:
-  MaxSmtResult Solve(const ConstraintSystem& system, double timeout_seconds) override {
-    return DoSolve(system, timeout_seconds, /*certify=*/false);
-  }
-
-  MaxSmtResult SolveCertified(const ConstraintSystem& system,
-                              double timeout_seconds) override {
-    return DoSolve(system, timeout_seconds, /*certify=*/true);
-  }
-
-  std::string name() const override { return "internal-maxsat"; }
-
- private:
-  MaxSmtResult DoSolve(const ConstraintSystem& system, double timeout_seconds,
-                       bool certify) {
-    MaxSmtResult result;
-    result.backend = name();
-    obs::StageSpan span("solver.internal");
-    if (system.HasIntegers()) {
-      state_.reset();
-      result.status = MaxSmtResult::Status::kUnsupported;
-      result.message = "integer constraints require the Z3 backend";
-      return result;
-    }
-    const uint64_t fingerprint = system.HardFingerprint();
-    // A state built without a log cannot certify (its input inventory was
-    // never recorded); rebuild cold rather than emit an unauditable cert.
-    const bool warm = state_ != nullptr && state_->fingerprint == fingerprint &&
-                      (!certify || state_->log != nullptr);
-    if (!warm) {
-      state_.reset();
-      state_ = std::make_unique<State>();
-      state_->fingerprint = fingerprint;
-      if (certify) {
-        state_->log = std::make_unique<ProofLog>();
-        state_->maxsat.SetProofLog(state_->log.get());
-      }
-      state_->tseitin =
-          std::make_unique<Tseitin<MaxSatSolver>>(&state_->maxsat, system);
-      for (ExprId hard : system.hard()) {
-        std::optional<Lit> lit = state_->tseitin->Encode(hard);
-        if (!lit.has_value()) {
-          state_.reset();
-          result.status = MaxSmtResult::Status::kUnsupported;
-          result.message = "expression not expressible in the boolean fragment";
-          return result;
-        }
-        state_->maxsat.AddHard({*lit});
-      }
-    } else {
-      state_->tseitin->Rebind(system);
-      state_->maxsat.ResetSofts();
-    }
-    state_->maxsat.SetDeadline(Deadline::After(timeout_seconds));
-    for (const SoftConstraint& soft : system.soft()) {
-      std::optional<Lit> lit = state_->tseitin->Encode(soft.expr);
-      if (!lit.has_value()) {
-        state_.reset();
-        result.status = MaxSmtResult::Status::kUnsupported;
-        result.message = "expression not expressible in the boolean fragment";
-        return result;
-      }
-      state_->maxsat.AddSoft({*lit}, soft.weight);
-    }
-
-    const bool log_active = certify && state_->log != nullptr;
-    std::optional<MaxSatSolver::Solution> solution = state_->maxsat.Solve();
-    FlushSolverCounters(DiffSatStats(state_->maxsat.sat_stats(), state_->sat_base),
-                        DiffMaxSatStats(state_->maxsat.stats(), state_->wpm_base),
-                        &result);
-    result.solver_counters.emplace_back(warm ? "warm.hit" : "warm.miss", 1.0);
-    if (!solution.has_value()) {
-      if (state_->maxsat.TimedOut()) {
-        result.status = MaxSmtResult::Status::kTimeout;
-        result.message = "CDCL search abandoned at the time limit";
-      } else {
-        result.status = MaxSmtResult::Status::kUnsat;
-        std::shared_ptr<Certificate> cert;
-        if (log_active) {
-          cert = std::make_shared<Certificate>();
-          // The state is dropped below (UNSAT never warms), so the session
-          // log can be stolen too.
-          FillClausalCertificate(cert.get(), name(), Certificate::Claim::kUnsat,
-                                 state_->maxsat, state_->log.get(),
-                                 /*take_log=*/true, /*cold=*/!warm);
-        }
-        ExtractInternalCore(system, timeout_seconds, &result, cert.get());
-        result.certificate = cert;
-      }
-      // A timed-out or UNSAT solver state is not a base worth warming: the
-      // next run cold-starts.
-      state_.reset();
-      return result;
-    }
-    state_->sat_base = state_->maxsat.sat_stats();
-    state_->wpm_base = state_->maxsat.stats();
-    result.status = MaxSmtResult::Status::kOptimal;
-    result.cost = solution->cost;
-    result.bool_values.resize(static_cast<size_t>(system.BoolCount()));
-    for (BVarId v = 0; v < system.BoolCount(); ++v) {
-      result.bool_values[static_cast<size_t>(v)] = solution->model[static_cast<size_t>(v)];
-    }
-    const std::vector<SoftConstraint>& softs = system.soft();
-    for (size_t i = 0; i < softs.size(); ++i) {
-      if (!system.EvalOnModel(softs[i].expr, result.bool_values, result.int_values)) {
-        result.violated_soft.push_back(static_cast<int>(i));
-      }
-    }
-    if (log_active) {
-      auto cert = std::make_shared<Certificate>();
-      FillClausalCertificate(cert.get(), name(), Certificate::Claim::kOptimal,
-                             state_->maxsat, state_->log.get(),
-                             /*take_log=*/false, /*cold=*/!warm);
-      cert->cost = solution->cost;
-      cert->model = solution->model;
-      result.certificate = cert;
-    }
-    return result;
-  }
-
-  struct State {
-    MaxSatSolver maxsat;
-    // Points into the system of the *current* Solve call only; Rebind runs
-    // before any dereference on the next call.
-    std::unique_ptr<Tseitin<MaxSatSolver>> tseitin;
-    // Session-lifetime proof log; non-null iff the state was built by a
-    // certified solve.
-    std::unique_ptr<ProofLog> log;
-    uint64_t fingerprint = 0;
-    // Cumulative engine statistics as of the last completed solve, so
-    // per-solve counters report deltas.
-    SatStats sat_base;
-    MaxSatStats wpm_base;
-  };
-  std::unique_ptr<State> state_;
 };
 
 }  // namespace
 
 std::unique_ptr<MaxSmtBackend> MakeInternalBackend() {
   return std::make_unique<InternalBackend>();
-}
-
-std::unique_ptr<MaxSmtBackend> MakeWarmInternalBackend() {
-  return std::make_unique<WarmInternalBackend>();
 }
 
 }  // namespace cpr

@@ -29,7 +29,7 @@ template <typename Solver>
 class Tseitin {
  public:
   Tseitin(Solver* solver, const ConstraintSystem& system)
-      : solver_(solver), system_(&system) {
+      : solver_(solver), system_(system) {
     // Decision variables occupy the first BoolCount() solver variables so
     // the model maps back by identity.
     for (BVarId v = 0; v < system.BoolCount(); ++v) {
@@ -39,20 +39,13 @@ class Tseitin {
     solver_->AddHard({true_lit_});
   }
 
-  // Re-points the encoder at a structurally identical system (equal
-  // HardFingerprint): node ids, variable ids, and children are
-  // position-identical across such systems, so every cached definition
-  // literal — and every clause already in the solver — stays valid. This is
-  // what lets a warm backend skip re-encoding unchanged hard constraints.
-  void Rebind(const ConstraintSystem& system) { system_ = &system; }
-
   // Definition literal for an expression: the literal is true in a model iff
   // the expression is.
   std::optional<Lit> Encode(ExprId id) {
     if (auto it = cache_.find(id); it != cache_.end()) {
       return it->second;
     }
-    const ExprNode& n = system_->node(id);
+    const ExprNode& n = system_.node(id);
     std::optional<Lit> lit;
     switch (n.kind) {
       case ExprKind::kTrue:
@@ -114,7 +107,7 @@ class Tseitin {
 
  private:
   Solver* solver_;
-  const ConstraintSystem* system_;
+  const ConstraintSystem& system_;
   Lit true_lit_ = kUndefLit;
   std::unordered_map<ExprId, Lit> cache_;
 };

@@ -4,7 +4,6 @@
 // Z3 minimizes the total violated weight exactly.
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,7 @@ namespace {
 class Z3Translator {
  public:
   Z3Translator(z3::context* ctx, const ConstraintSystem& system)
-      : ctx_(ctx), system_(&system), cache_(static_cast<size_t>(system.BoolCount()), -1) {
+      : ctx_(ctx), system_(system) {
     bool_consts_.reserve(static_cast<size_t>(system.BoolCount()));
     for (BVarId v = 0; v < system.BoolCount(); ++v) {
       bool_consts_.push_back(ctx_->bool_const(system.BoolName(v).c_str()));
@@ -32,13 +31,8 @@ class Z3Translator {
     }
   }
 
-  // Re-points the translator at a structurally identical system (equal
-  // HardFingerprint): the Z3 constants built in the constructor match the
-  // new system's variables by position and name.
-  void Rebind(const ConstraintSystem& system) { system_ = &system; }
-
   z3::expr Translate(ExprId id) {
-    const ExprNode& n = system_->node(id);
+    const ExprNode& n = system_.node(id);
     switch (n.kind) {
       case ExprKind::kTrue:
         return ctx_->bool_val(true);
@@ -87,11 +81,9 @@ class Z3Translator {
   }
 
   z3::context* ctx_;
-  const ConstraintSystem* system_;
+  const ConstraintSystem& system_;
   std::vector<z3::expr> bool_consts_;
   std::vector<z3::expr> int_consts_;
-  std::vector<int> cache_;  // Reserved for subtree sharing; Z3 hash-conses
-                            // internally so re-translation is cheap.
 };
 
 // Best-effort unsat core for an UNSAT system: re-check with a plain
@@ -246,127 +238,8 @@ class Z3Backend final : public MaxSmtBackend {
   std::string name() const override { return "z3-optimize"; }
 };
 
-// Warm-start variant for incremental re-repair: keeps one z3::context +
-// z3::optimize alive between Solve calls, with the hard constraints and
-// integer bounds asserted at the base level and a push() marking where softs
-// begin. A re-solve whose system carries the same HardFingerprint pops back
-// to the base level (discarding only the previous softs) and re-asserts the
-// new soft set — Z3 retains everything it derived from the hards. Any
-// fingerprint mismatch, non-optimal outcome, or Z3 exception drops the
-// state; warmth is a pure accelerator.
-class WarmZ3Backend final : public MaxSmtBackend {
- public:
-  MaxSmtResult Solve(const ConstraintSystem& system, double timeout_seconds) override {
-    MaxSmtResult result;
-    result.backend = name();
-    obs::StageSpan span("solver.z3");
-    const uint64_t fingerprint = system.HardFingerprint();
-    const bool warm = state_ != nullptr && state_->fingerprint == fingerprint;
-    try {
-      if (!warm) {
-        state_.reset();
-        auto fresh = std::make_unique<State>();
-        fresh->fingerprint = fingerprint;
-        fresh->opt = std::make_unique<z3::optimize>(fresh->ctx);
-        fresh->translator = std::make_unique<Z3Translator>(&fresh->ctx, system);
-        for (ExprId hard : system.hard()) {
-          fresh->opt->add(fresh->translator->Translate(hard));
-        }
-        for (IVarId v = 0; v < system.IntCount(); ++v) {
-          const IntVarInfo& info = system.IntVar(v);
-          const z3::expr& var = fresh->translator->int_consts()[static_cast<size_t>(v)];
-          fresh->opt->add(var >= fresh->ctx.int_val(info.lower));
-          fresh->opt->add(var <= fresh->ctx.int_val(info.upper));
-        }
-        fresh->opt->push();
-        state_ = std::move(fresh);
-      } else {
-        state_->translator->Rebind(system);
-        state_->opt->pop();
-        state_->opt->push();
-      }
-      z3::optimize& opt = *state_->opt;
-      if (timeout_seconds > 0) {
-        z3::params params(state_->ctx);
-        params.set("timeout", TimeoutMillis(timeout_seconds));
-        opt.set(params);
-      }
-      std::vector<z3::expr> soft_exprs;
-      for (const SoftConstraint& soft : system.soft()) {
-        z3::expr e = state_->translator->Translate(soft.expr);
-        soft_exprs.push_back(e);
-        opt.add_soft(e, static_cast<unsigned>(soft.weight));
-      }
-
-      z3::check_result check = opt.check();
-      ExtractStatistics(opt, &result);
-      result.solver_counters.emplace_back(warm ? "warm.hit" : "warm.miss", 1.0);
-      if (check == z3::unsat) {
-        result.status = MaxSmtResult::Status::kUnsat;
-        ExtractUnsatCore(&state_->ctx, state_->translator.get(), system,
-                         timeout_seconds, &result);
-        // The exprs borrow state_->ctx; they must die before the context.
-        soft_exprs.clear();
-        state_.reset();
-        return result;
-      }
-      if (check == z3::unknown) {
-        result.status = MaxSmtResult::Status::kTimeout;
-        result.message = "z3 returned unknown (time limit)";
-        soft_exprs.clear();
-        state_.reset();
-        return result;
-      }
-
-      z3::model model = opt.get_model();
-      result.status = MaxSmtResult::Status::kOptimal;
-      result.bool_values.resize(static_cast<size_t>(system.BoolCount()));
-      for (BVarId v = 0; v < system.BoolCount(); ++v) {
-        z3::expr value =
-            model.eval(state_->translator->bool_consts()[static_cast<size_t>(v)], true);
-        result.bool_values[static_cast<size_t>(v)] = value.is_true();
-      }
-      result.int_values.resize(static_cast<size_t>(system.IntCount()));
-      for (IVarId v = 0; v < system.IntCount(); ++v) {
-        z3::expr value =
-            model.eval(state_->translator->int_consts()[static_cast<size_t>(v)], true);
-        result.int_values[static_cast<size_t>(v)] = value.get_numeral_int64();
-      }
-      for (size_t i = 0; i < soft_exprs.size(); ++i) {
-        if (model.eval(soft_exprs[i], true).is_false()) {
-          result.cost += system.soft()[i].weight;
-          result.violated_soft.push_back(static_cast<int>(i));
-        }
-      }
-      return result;
-    } catch (const z3::exception& e) {
-      state_.reset();
-      result.status = MaxSmtResult::Status::kError;
-      result.message = std::string("z3 exception: ") + e.msg();
-      return result;
-    }
-  }
-
-  std::string name() const override { return "z3-optimize"; }
-
- private:
-  struct State {
-    z3::context ctx;
-    std::unique_ptr<z3::optimize> opt;
-    // Points into the system of the *current* Solve call only; Rebind runs
-    // before any dereference on the next call.
-    std::unique_ptr<Z3Translator> translator;
-    uint64_t fingerprint = 0;
-  };
-  std::unique_ptr<State> state_;
-};
-
 }  // namespace
 
 std::unique_ptr<MaxSmtBackend> MakeZ3Backend() { return std::make_unique<Z3Backend>(); }
-
-std::unique_ptr<MaxSmtBackend> MakeWarmZ3Backend() {
-  return std::make_unique<WarmZ3Backend>();
-}
 
 }  // namespace cpr

@@ -24,6 +24,7 @@
 #include "core/cpr.h"
 #include "incremental/dirty.h"
 #include "incremental/session.h"
+#include "smt/certificate.h"
 #include "solver/backend.h"
 #include "tests/example_network.h"
 #include "verify/checker.h"
@@ -155,19 +156,6 @@ TEST(DirtySetTest, WaypointAnnotationChangeDirtiesEverything) {
   DirtySet dirty =
       ComputeDirtySet(ParseAll(ExampleTexts()), before, ParseAll(ExampleTexts()), after);
   EXPECT_TRUE(dirty.everything);
-}
-
-// ---------------------------------------------------------------------------
-// Warm backend store.
-
-TEST(WarmBackendStoreTest, ReturnsOneStableInstancePerProblemKey) {
-  WarmBackendStore store;
-  MaxSmtBackend* first = store.BackendFor("d:3", BackendChoice::kInternal);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(store.BackendFor("d:3", BackendChoice::kInternal), first);
-  MaxSmtBackend* other = store.BackendFor("d:7", BackendChoice::kInternal);
-  EXPECT_NE(other, first);
-  EXPECT_EQ(store.instances(), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -386,10 +374,10 @@ void RunDefectKindEquivalence(BackendChoice backend) {
       continue;  // This topology cannot host the defect.
     }
 
-    Result<Cpr> warm =
+    Result<Cpr> pipeline =
         Cpr::FromBaseline(*session, texts, repaired->patched_annotations);
-    ASSERT_TRUE(warm.ok()) << warm.error().message();
-    Result<CprReport> incremental = warm->Repair(scenario.policies, options);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.error().message();
+    Result<CprReport> incremental = pipeline->Repair(scenario.policies, options);
     ASSERT_TRUE(incremental.ok()) << incremental.error().message();
 
     Result<Cpr> cold = Cpr::FromConfigTexts(texts, repaired->patched_annotations);
@@ -400,7 +388,7 @@ void RunDefectKindEquivalence(BackendChoice backend) {
     EXPECT_TRUE(incremental->incremental.attempted);
     EXPECT_EQ(RepairStatusName(incremental->status), RepairStatusName(scratch->status));
     EXPECT_EQ(incremental->Sound(), scratch->Sound());
-    EXPECT_EQ(ViolationKeys(warm->network(), incremental->residual_graph_violations),
+    EXPECT_EQ(ViolationKeys(pipeline->network(), incremental->residual_graph_violations),
               ViolationKeys(cold->network(), scratch->residual_graph_violations));
     EXPECT_LE(incremental->predicted_cost, scratch->predicted_cost);
   }
@@ -416,7 +404,9 @@ TEST(IncrementalEquivalenceTest, SevenDefectKindsMatchFromScratchZ3) {
 
 // A genuinely scoped edit atop the repaired baseline: the cheap path must
 // engage (groups reused, only the touched group re-solved) and still match
-// from-scratch exactly. This is the steady-state the daemon lives in.
+// from-scratch exactly. This is the steady-state the daemon lives in. The
+// session is read-only, so re-running the same edit on it repeats the same
+// cold, fully certified solves.
 TEST(IncrementalEquivalenceTest, ScopedAclEditReusesCleanGroups) {
   FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kAlwaysBlocked, 4, 11);
   CprOptions options;
@@ -455,26 +445,39 @@ TEST(IncrementalEquivalenceTest, ScopedAclEditReusesCleanGroups) {
                    scenario.policies, options.repair);
   ASSERT_TRUE(session.ok()) << session.error().message();
 
-  Result<Cpr> warm = Cpr::FromBaseline(*session, texts, repaired->patched_annotations);
-  ASSERT_TRUE(warm.ok()) << warm.error().message();
-  Result<CprReport> incremental = warm->Repair(scenario.policies, options);
-  ASSERT_TRUE(incremental.ok()) << incremental.error().message();
-
-  ASSERT_TRUE(incremental->incremental.applied)
-      << incremental->incremental.skipped_reason;
-  EXPECT_GT(incremental->incremental.groups_reused, 0);
-  EXPECT_GT(incremental->incremental.groups_resolved, 0);
-  EXPECT_LT(incremental->incremental.groups_resolved,
-            incremental->incremental.groups_total);
-  EXPECT_FALSE(incremental->incremental.fell_back);
-  EXPECT_TRUE(incremental->Sound());
-
+  options.repair.certify = certify::CertifyMode::kOn;
   Result<Cpr> cold = Cpr::FromConfigTexts(texts, repaired->patched_annotations);
   ASSERT_TRUE(cold.ok()) << cold.error().message();
   Result<CprReport> scratch = cold->Repair(scenario.policies, options);
   ASSERT_TRUE(scratch.ok()) << scratch.error().message();
-  EXPECT_EQ(RepairStatusName(incremental->status), RepairStatusName(scratch->status));
-  EXPECT_LE(incremental->predicted_cost, scratch->predicted_cost);
+
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    Result<Cpr> pipeline = Cpr::FromBaseline(*session, texts, repaired->patched_annotations);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.error().message();
+    Result<CprReport> incremental = pipeline->Repair(scenario.policies, options);
+    ASSERT_TRUE(incremental.ok()) << incremental.error().message();
+
+    ASSERT_TRUE(incremental->incremental.applied)
+        << incremental->incremental.skipped_reason;
+    EXPECT_GT(incremental->incremental.groups_reused, 0);
+    EXPECT_GT(incremental->incremental.groups_resolved, 0);
+    EXPECT_LT(incremental->incremental.groups_resolved,
+              incremental->incremental.groups_total);
+    EXPECT_FALSE(incremental->incremental.fell_back);
+    EXPECT_TRUE(incremental->Sound());
+    EXPECT_EQ(RepairStatusName(incremental->status), RepairStatusName(scratch->status));
+    EXPECT_LE(incremental->predicted_cost, scratch->predicted_cost);
+
+    // Every certificate is cold: its encoding baseline was replayed.
+    ASSERT_FALSE(incremental->stats.problem_reports.empty());
+    for (const ProblemReport& problem : incremental->stats.problem_reports) {
+      EXPECT_EQ(problem.certification, MaxSmtResult::Certification::kVerified)
+          << problem.certify_message;
+      ASSERT_NE(problem.certificate, nullptr);
+      EXPECT_TRUE(problem.certificate->cold);
+    }
+  }
 }
 
 }  // namespace

@@ -43,6 +43,9 @@ TEST(FaultInjectionSpecTest, ParsesKindAndOptions) {
   EXPECT_FALSE(FaultInjectionSpec::Parse("explode").ok());
   EXPECT_FALSE(FaultInjectionSpec::Parse("timeout:p=2").ok());
   EXPECT_FALSE(FaultInjectionSpec::Parse("timeout:bogus=1").ok());
+  EXPECT_FALSE(FaultInjectionSpec::Parse("timeout:p=abc").ok());
+  EXPECT_FALSE(FaultInjectionSpec::Parse("timeout:max=2x").ok());
+  EXPECT_FALSE(FaultInjectionSpec::Parse("slow:slow=").ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -134,20 +135,37 @@ TEST(WireTest, SpecFieldsRoundTripIncludingNonDefaults) {
   spec.inject_fault = "throw:p=0.5:seed=7";
   spec.trace_id = "00c0ffee00c0ffee";
 
-  RequestSpec round = SpecFromFields(FieldsFromSpec(spec));
-  EXPECT_EQ(round.tag, spec.tag);
-  EXPECT_EQ(round.config_dir, spec.config_dir);
-  EXPECT_EQ(round.policy_file, spec.policy_file);
-  EXPECT_DOUBLE_EQ(round.deadline_seconds, spec.deadline_seconds);
-  EXPECT_DOUBLE_EQ(round.timeout_seconds, spec.timeout_seconds);
-  EXPECT_EQ(round.backend, spec.backend);
-  EXPECT_EQ(round.granularity, spec.granularity);
-  EXPECT_EQ(round.max_retries, spec.max_retries);
-  EXPECT_EQ(round.simulate, spec.simulate);
-  EXPECT_EQ(round.lint, spec.lint);
-  EXPECT_EQ(round.incremental, spec.incremental);
-  EXPECT_EQ(round.inject_fault, spec.inject_fault);
-  EXPECT_EQ(round.trace_id, spec.trace_id);
+  Result<RequestSpec> round = SpecFromFields(FieldsFromSpec(spec));
+  ASSERT_TRUE(round.ok()) << round.error().message();
+  EXPECT_EQ(round->tag, spec.tag);
+  EXPECT_EQ(round->config_dir, spec.config_dir);
+  EXPECT_EQ(round->policy_file, spec.policy_file);
+  EXPECT_DOUBLE_EQ(round->deadline_seconds, spec.deadline_seconds);
+  EXPECT_DOUBLE_EQ(round->timeout_seconds, spec.timeout_seconds);
+  EXPECT_EQ(round->backend, spec.backend);
+  EXPECT_EQ(round->granularity, spec.granularity);
+  EXPECT_EQ(round->max_retries, spec.max_retries);
+  EXPECT_EQ(round->simulate, spec.simulate);
+  EXPECT_EQ(round->lint, spec.lint);
+  EXPECT_EQ(round->incremental, spec.incremental);
+  EXPECT_EQ(round->inject_fault, spec.inject_fault);
+  EXPECT_EQ(round->trace_id, spec.trace_id);
+}
+
+TEST(WireTest, MalformedNumbersAreRejected) {
+  // A lenient parse would read "true" as 0 (simulation silently off), "abc"
+  // as 0 (the daemon's default budget) and "2x" as 2.
+  for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
+           {"simulate", "true"}, {"deadline", "abc"}, {"max_retries", "2x"}}) {
+    Result<RequestSpec> spec =
+        SpecFromFields({{"config_dir", "/tmp/x"}, {"policy_file", "/tmp/p"}, {key, value}});
+    ASSERT_FALSE(spec.ok()) << key << "=" << value;
+    EXPECT_NE(spec.error().message().find(key), std::string::npos)
+        << spec.error().message();
+  }
+  // Checkpoint records share the format: a malformed one fails to load.
+  EXPECT_FALSE(CheckpointStore::DecodeRecord("id=9 budget=abc").ok());
+  EXPECT_FALSE(CheckpointStore::DecodeRecord("id=9 simulate=true").ok());
 }
 
 // ---- checkpoint store -----------------------------------------------------
@@ -160,7 +178,9 @@ TEST(CheckpointTest, MarkAndSweepRecoversOnlyUncompletedRequests) {
   for (uint64_t id : {1, 2, 3}) {
     CheckpointRecord record;
     record.id = id;
-    record.budget = id == 3 ? -1 : 0;  // Request 3 expired while queued.
+    // Request 1 has under 0.5 us left, which must not read back as 0
+    // (unbounded); request 3 expired while queued.
+    record.budget = id == 1 ? 4e-7 : id == 3 ? -1 : 0;
     record.spec = fx.Spec("r" + std::to_string(id));
     ASSERT_TRUE(store->Persist(record).ok());
   }
@@ -173,6 +193,7 @@ TEST(CheckpointTest, MarkAndSweepRecoversOnlyUncompletedRequests) {
   ASSERT_TRUE(pending.ok()) << pending.error().message();
   ASSERT_EQ(pending->size(), 2u);
   EXPECT_EQ((*pending)[0].id, 1u);
+  EXPECT_EQ((*pending)[0].budget, 4e-7);
   EXPECT_EQ((*pending)[1].id, 3u);
   EXPECT_LT((*pending)[1].budget, 0);  // Expiry survives the restart.
   EXPECT_EQ(reopened->max_seen_id(), 3u);

@@ -281,11 +281,11 @@ TEST(RepairSpanTreeTest, PlainCompressedAndIncrementalShareOneSkeleton) {
         incremental::BuildSession(repaired->patched_configs, repaired->patched_annotations,
                                   scenario.policies, options.repair);
     ASSERT_TRUE(session.ok()) << session.error().message();
-    Result<Cpr> warm = Cpr::FromBaseline(*session, texts, repaired->patched_annotations);
-    ASSERT_TRUE(warm.ok()) << warm.error().message();
+    Result<Cpr> pipeline = Cpr::FromBaseline(*session, texts, repaired->patched_annotations);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.error().message();
     ExpectRepairSkeleton(
         [&] {
-          Result<CprReport> report = warm->Repair(scenario.policies, options);
+          Result<CprReport> report = pipeline->Repair(scenario.policies, options);
           EXPECT_TRUE(report.ok() && report->incremental.applied);
           return report;
         },

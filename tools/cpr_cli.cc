@@ -14,7 +14,7 @@
 //       [--lint error|warn|off]
 //       [--incremental] [--baseline DIR]            re-repair against a prior
 //                                                  snapshot: diff, reuse clean
-//                                                  group verdicts, warm-solve
+//                                                  group verdicts, re-solve
 //                                                  dirty ones
 //   cpr explain  <config-dir> <policy-file> [--json]
 //                                                  compute a repair and print
@@ -56,6 +56,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "certify/artifact.h"
@@ -67,6 +68,7 @@
 #include "incremental/session.h"
 #include "core/stats_report.h"
 #include "lint/lint.h"
+#include "netbase/string_util.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
@@ -125,8 +127,8 @@ int Usage() {
                "         --incremental --baseline DIR  re-repair against the prior\n"
                "                              snapshot in DIR: diff the configs,\n"
                "                              reuse clean groups' verdicts, re-solve\n"
-               "                              only dirty ones with warm solvers (the\n"
-               "                              result is always re-verified concretely)\n"
+               "                              only dirty ones (the result is always\n"
+               "                              re-verified concretely)\n"
                "robustness: --deadline SECONDS   total wall-clock budget (<=0\n"
                "                              rejects immediately with status\n"
                "                              deadline-exceeded; omit = unbounded)\n"
@@ -232,6 +234,29 @@ cpr::Result<CliArgs> ParseArgs(int argc, char** argv) {
       }
       return std::string(argv[++next]);
     };
+    // Reads the flag's value into *out: strings verbatim, numbers strictly
+    // (garbage is an error naming the flag). The status is checked once the
+    // flag's branch has run.
+    auto read = [&](auto* out) -> cpr::Status {
+      cpr::Result<std::string> v = value();
+      if (!v.ok()) {
+        return v.error();
+      }
+      using T = std::remove_pointer_t<decltype(out)>;
+      if constexpr (std::is_same_v<T, std::string>) {
+        *out = *v;
+      } else if constexpr (std::is_same_v<T, int>) {
+        if (!cpr::ParseInt(*v, out)) {
+          return cpr::Error(flag + ": expected an integer, got '" + *v + "'");
+        }
+      } else {
+        if (!cpr::ParseDouble(*v, out)) {
+          return cpr::Error(flag + ": expected a number, got '" + *v + "'");
+        }
+      }
+      return cpr::Status::Ok();
+    };
+    cpr::Status parsed;
     if (flag == "--granularity") {
       auto v = value();
       if (!v.ok()) {
@@ -257,23 +282,11 @@ cpr::Result<CliArgs> ParseArgs(int argc, char** argv) {
         return cpr::Error("unknown backend " + *v);
       }
     } else if (flag == "--threads") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.options.repair.num_threads = std::atoi(v->c_str());
+      parsed = read(&args.options.repair.num_threads);
     } else if (flag == "--timeout") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.options.repair.timeout_seconds = std::atof(v->c_str());
+      parsed = read(&args.options.repair.timeout_seconds);
     } else if (flag == "--deadline") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.options.repair.deadline_seconds = std::atof(v->c_str());
+      parsed = read(&args.options.repair.deadline_seconds);
       // An explicit zero (or negative) budget means "no time at all", not
       // "unbounded": the repair reports kDeadlineExceeded without starting
       // solver work. Only the flag's *absence* means unbounded.
@@ -281,11 +294,7 @@ cpr::Result<CliArgs> ParseArgs(int argc, char** argv) {
         args.options.repair.deadline = cpr::Deadline::Exhausted();
       }
     } else if (flag == "--max-retries") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.options.repair.max_retries = std::atoi(v->c_str());
+      parsed = read(&args.options.repair.max_retries);
     } else if (flag == "--no-failover") {
       args.options.repair.enable_failover = false;
     } else if (flag == "--no-partial") {
@@ -301,23 +310,11 @@ cpr::Result<CliArgs> ParseArgs(int argc, char** argv) {
       }
       args.options.repair.fault_injection = *spec;
     } else if (flag == "--out") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.out_dir = *v;
+      parsed = read(&args.out_dir);
     } else if (flag == "--stats-json") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.stats_json_path = *v;
+      parsed = read(&args.stats_json_path);
     } else if (flag == "--trace-out") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.trace_out_path = *v;
+      parsed = read(&args.trace_out_path);
     } else if (flag == "--no-simulate") {
       args.options.validate_with_simulator = false;
     } else if (flag == "--lint") {
@@ -357,11 +354,7 @@ cpr::Result<CliArgs> ParseArgs(int argc, char** argv) {
         return cpr::Error("unknown certify mode " + *v + " (on|off|auto|log)");
       }
     } else if (flag == "--certify-dir") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.options.repair.certify_artifact_dir = *v;
+      parsed = read(&args.options.repair.certify_artifact_dir);
       // Asking for artifacts implies asking for checking.
       if (args.options.repair.certify == cpr::certify::CertifyMode::kOff) {
         args.options.repair.certify = cpr::certify::CertifyMode::kOn;
@@ -369,65 +362,34 @@ cpr::Result<CliArgs> ParseArgs(int argc, char** argv) {
     } else if (flag == "--incremental") {
       args.incremental = true;
     } else if (flag == "--baseline") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.baseline_dir = *v;
+      parsed = read(&args.baseline_dir);
     } else if (flag == "--json") {
       args.json = true;
     } else if (flag == "--fattree") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.fattree_ports = std::atoi(v->c_str());
+      parsed = read(&args.fattree_ports);
     } else if (flag == "--pods") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.fattree_pods = std::atoi(v->c_str());
+      parsed = read(&args.fattree_pods);
     } else if (flag == "--broken") {
       args.gen_broken = true;
     } else if (flag == "--pc") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.gen_pc = *v;
+      parsed = read(&args.gen_pc);
     } else if (flag == "--policies") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.gen_policies = std::atoi(v->c_str());
+      parsed = read(&args.gen_policies);
     } else if (flag == "--policy-out") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.policy_out = *v;
+      parsed = read(&args.policy_out);
     } else if (flag == "--dirty") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.dirty = std::atoi(v->c_str());
+      parsed = read(&args.dirty);
     } else if (flag == "--dirty-asym") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.dirty_asym = std::atoi(v->c_str());
+      parsed = read(&args.dirty_asym);
     } else if (flag == "--seed") {
-      auto v = value();
-      if (!v.ok()) {
-        return v.error();
-      }
-      args.seed = static_cast<unsigned>(std::atoi(v->c_str()));
+      int seed = 0;
+      parsed = read(&seed);
+      args.seed = static_cast<unsigned>(seed);
     } else {
       return cpr::Error("unknown flag " + flag);
+    }
+    if (!parsed.ok()) {
+      return parsed.error();
     }
   }
   return args;
@@ -821,10 +783,10 @@ int CmdRepair(const cpr::Cpr& pipeline, const std::vector<cpr::Policy>& policies
     if (inc.applied) {
       std::printf(
           "incremental: %d/%d group(s) reused, %d re-solved "
-          "(%d dirty dst(s), %d dirty tc(s), %d warm hit(s)/%d miss(es)%s)\n",
+          "(%d dirty dst(s), %d dirty tc(s)%s)\n",
           inc.groups_reused, inc.groups_total, inc.groups_resolved,
-          inc.dirty_destinations, inc.dirty_traffic_classes, inc.warm_hits,
-          inc.warm_misses, inc.fell_back ? ", fell back to full repair" : "");
+          inc.dirty_destinations, inc.dirty_traffic_classes,
+          inc.fell_back ? ", fell back to full repair" : "");
     } else {
       std::printf("incremental: declined (%s); full repair ran\n",
                   inc.skipped_reason.c_str());

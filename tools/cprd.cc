@@ -54,12 +54,15 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <poll.h>
 #include <unistd.h>
 
 #include "netbase/deadline.h"
+#include "netbase/string_util.h"
 #include "obs/metrics.h"
 #include "serve/daemon.h"
 #include "serve/request.h"
@@ -138,15 +141,37 @@ struct ArgReader {
     return true;
   }
 
-  cpr::Result<std::string> Value(const std::string& flag,
-                                 const std::optional<std::string>& inline_value) {
-    if (inline_value.has_value()) {
-      return *inline_value;
+  // Reads the flag's value (inline or the next argument) into *out:
+  // strings verbatim, numbers strictly — the whole value must parse and fit
+  // T. On a missing or malformed value, prints an error naming the flag and
+  // returns false.
+  template <typename T>
+  bool Read(const std::string& flag, const std::optional<std::string>& inline_value, T* out) {
+    if (!inline_value.has_value() && next >= argc) {
+      std::fprintf(stderr, "error: %s needs a value\n", flag.c_str());
+      return false;
     }
-    if (next >= argc) {
-      return cpr::Error(flag + " needs a value");
+    const std::string value = inline_value.has_value() ? *inline_value : argv[next++];
+    bool ok = true;
+    if constexpr (std::is_same_v<T, std::string>) {
+      *out = value;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      ok = cpr::ParseDouble(value, out);
+    } else {
+      int64_t parsed = 0;
+      ok = cpr::ParseInt64(value, &parsed) && std::in_range<T>(parsed);
+      if (ok) {
+        *out = static_cast<T>(parsed);
+      }
     }
-    return std::string(argv[next++]);
+    if (!ok) {
+      const char* expected = std::is_floating_point_v<T> ? "a number"
+                             : std::is_unsigned_v<T>     ? "a non-negative integer"
+                                                         : "an integer";
+      std::fprintf(stderr, "error: %s: expected %s, got '%s'\n", flag.c_str(), expected,
+                   value.c_str());
+    }
+    return ok;
   }
 };
 
@@ -194,8 +219,12 @@ bool HandleConnection(Daemon* daemon, int fd) {
     return false;
   }
   if (op == "submit") {
-    RequestSpec spec = cpr::serve::SpecFromFields(*decoded);
-    cpr::serve::AdmissionDecision decision = daemon->Submit(spec);
+    cpr::Result<RequestSpec> spec = cpr::serve::SpecFromFields(*decoded);
+    if (!spec.ok()) {
+      respond({{"error", spec.error().message()}});
+      return false;
+    }
+    cpr::serve::AdmissionDecision decision = daemon->Submit(*spec);
     WireFields fields;
     fields.emplace_back("admitted", decision.admitted ? "1" : "0");
     if (decision.admitted) {
@@ -207,10 +236,15 @@ bool HandleConnection(Daemon* daemon, int fd) {
     respond(fields);
     return false;
   }
+  // A malformed id is answered with an error, never read as 0.
+  cpr::Result<uint64_t> id = view.GetInt<uint64_t>("id");
+  if (!id.ok()) {
+    respond({{"error", id.error().message()}});
+    return false;
+  }
   if (op == "status") {
     if (view.Has("id")) {
-      std::optional<RequestStatus> status =
-          daemon->GetStatus(static_cast<uint64_t>(view.GetInt("id")));
+      std::optional<RequestStatus> status = daemon->GetStatus(*id);
       if (!status.has_value()) {
         respond({{"found", "0"}});
         return false;
@@ -237,10 +271,13 @@ bool HandleConnection(Daemon* daemon, int fd) {
   if (op == "wait") {
     // Clamped so a long wait cannot wedge the accept loop against SIGTERM;
     // the client loops until its own timeout.
-    double timeout = std::min(view.GetDouble("timeout", 2.0), 2.0);
-    uint64_t id = static_cast<uint64_t>(view.GetInt("id"));
-    bool terminal = daemon->WaitFor(id, timeout);
-    std::optional<RequestStatus> status = daemon->GetStatus(id);
+    cpr::Result<double> timeout = view.GetDouble("timeout", 2.0);
+    if (!timeout.ok()) {
+      respond({{"error", timeout.error().message()}});
+      return false;
+    }
+    bool terminal = daemon->WaitFor(*id, std::min(*timeout, 2.0));
+    std::optional<RequestStatus> status = daemon->GetStatus(*id);
     WireFields fields;
     fields.emplace_back("done", terminal ? "1" : "0");
     if (status.has_value()) {
@@ -256,8 +293,7 @@ bool HandleConnection(Daemon* daemon, int fd) {
     return false;
   }
   if (op == "result") {
-    std::optional<RequestStatus> status =
-        daemon->GetStatus(static_cast<uint64_t>(view.GetInt("id")));
+    std::optional<RequestStatus> status = daemon->GetStatus(*id);
     if (!status.has_value()) {
       respond({{"found", "0"}});
       return false;
@@ -308,44 +344,30 @@ int CmdServe(ArgReader* args) {
   std::string flag;
   std::optional<std::string> inline_value;
   while (args->NextFlag(&flag, &inline_value)) {
-    auto value = [&]() { return args->Value(flag, inline_value); };
-    cpr::Result<std::string> v = cpr::Error("unset");
     if (flag == "--socket") {
-      if (v = value(); !v.ok()) return Usage();
-      socket_path = *v;
+      if (!args->Read(flag, inline_value, &socket_path)) return Usage();
     } else if (flag == "--checkpoint-dir") {
-      if (v = value(); !v.ok()) return Usage();
-      options.checkpoint_dir = *v;
+      if (!args->Read(flag, inline_value, &options.checkpoint_dir)) return Usage();
     } else if (flag == "--workers") {
-      if (v = value(); !v.ok()) return Usage();
-      options.workers = std::atoi(v->c_str());
+      if (!args->Read(flag, inline_value, &options.workers)) return Usage();
     } else if (flag == "--solve-threads") {
-      if (v = value(); !v.ok()) return Usage();
-      options.solve_threads = std::atoi(v->c_str());
+      if (!args->Read(flag, inline_value, &options.solve_threads)) return Usage();
     } else if (flag == "--queue-capacity") {
-      if (v = value(); !v.ok()) return Usage();
-      options.queue_capacity = static_cast<size_t>(std::atoll(v->c_str()));
+      if (!args->Read(flag, inline_value, &options.queue_capacity)) return Usage();
     } else if (flag == "--drain-deadline") {
-      if (v = value(); !v.ok()) return Usage();
-      options.drain_deadline_seconds = std::atof(v->c_str());
+      if (!args->Read(flag, inline_value, &options.drain_deadline_seconds)) return Usage();
     } else if (flag == "--default-deadline") {
-      if (v = value(); !v.ok()) return Usage();
-      options.default_deadline_seconds = std::atof(v->c_str());
+      if (!args->Read(flag, inline_value, &options.default_deadline_seconds)) return Usage();
     } else if (flag == "--max-attempts") {
-      if (v = value(); !v.ok()) return Usage();
-      options.max_request_attempts = std::atoi(v->c_str());
+      if (!args->Read(flag, inline_value, &options.max_request_attempts)) return Usage();
     } else if (flag == "--results-dir") {
-      if (v = value(); !v.ok()) return Usage();
-      options.results_dir = *v;
+      if (!args->Read(flag, inline_value, &options.results_dir)) return Usage();
     } else if (flag == "--cache-capacity") {
-      if (v = value(); !v.ok()) return Usage();
-      options.cache_capacity = static_cast<size_t>(std::atoll(v->c_str()));
+      if (!args->Read(flag, inline_value, &options.cache_capacity)) return Usage();
     } else if (flag == "--event-log") {
-      if (v = value(); !v.ok()) return Usage();
-      options.event_log_path = *v;
+      if (!args->Read(flag, inline_value, &options.event_log_path)) return Usage();
     } else if (flag == "--flight-dump") {
-      if (v = value(); !v.ok()) return Usage();
-      options.flight_dump_path = *v;
+      if (!args->Read(flag, inline_value, &options.flight_dump_path)) return Usage();
     } else {
       std::fprintf(stderr, "error: unknown serve flag %s\n", flag.c_str());
       return Usage();
@@ -535,61 +557,45 @@ int CmdClient(const std::string& command, ArgReader* args) {
   std::string flag;
   std::optional<std::string> inline_value;
   while (args->NextFlag(&flag, &inline_value)) {
-    auto value = [&]() { return args->Value(flag, inline_value); };
-    cpr::Result<std::string> v = cpr::Error("unset");
     if (flag.rfind('-', 0) != 0) {
       positionals.push_back(flag);
     } else if (flag == "--socket") {
-      if (v = value(); !v.ok()) return Usage();
-      socket_path = *v;
+      if (!args->Read(flag, inline_value, &socket_path)) return Usage();
     } else if (flag == "--id") {
-      if (v = value(); !v.ok()) return Usage();
-      id = static_cast<uint64_t>(std::atoll(v->c_str()));
+      if (!args->Read(flag, inline_value, &id)) return Usage();
       have_id = true;
     } else if (flag == "--timeout" && command != "submit") {
-      if (v = value(); !v.ok()) return Usage();
-      timeout = std::atof(v->c_str());
+      if (!args->Read(flag, inline_value, &timeout)) return Usage();
     } else if (flag == "--tag") {
-      if (v = value(); !v.ok()) return Usage();
-      spec.tag = *v;
+      if (!args->Read(flag, inline_value, &spec.tag)) return Usage();
     } else if (flag == "--deadline") {
-      if (v = value(); !v.ok()) return Usage();
-      spec.deadline_seconds = std::atof(v->c_str());
+      if (!args->Read(flag, inline_value, &spec.deadline_seconds)) return Usage();
       if (spec.deadline_seconds <= 0) {
         spec.deadline_seconds = -1;  // Explicit zero budget, not "default".
       }
     } else if (flag == "--timeout") {
-      if (v = value(); !v.ok()) return Usage();
-      spec.timeout_seconds = std::atof(v->c_str());
+      if (!args->Read(flag, inline_value, &spec.timeout_seconds)) return Usage();
     } else if (flag == "--backend") {
-      if (v = value(); !v.ok()) return Usage();
-      spec.backend = *v;
+      if (!args->Read(flag, inline_value, &spec.backend)) return Usage();
     } else if (flag == "--granularity") {
-      if (v = value(); !v.ok()) return Usage();
-      spec.granularity = *v;
+      if (!args->Read(flag, inline_value, &spec.granularity)) return Usage();
     } else if (flag == "--max-retries") {
-      if (v = value(); !v.ok()) return Usage();
-      spec.max_retries = std::atoi(v->c_str());
+      if (!args->Read(flag, inline_value, &spec.max_retries)) return Usage();
     } else if (flag == "--simulate") {
       spec.simulate = true;
     } else if (flag == "--lint") {
-      if (v = value(); !v.ok()) return Usage();
-      spec.lint = *v;
+      if (!args->Read(flag, inline_value, &spec.lint)) return Usage();
     } else if (flag == "--compress") {
-      if (v = value(); !v.ok()) return Usage();
-      spec.compress = *v;
+      if (!args->Read(flag, inline_value, &spec.compress)) return Usage();
     } else if (flag == "--incremental") {
-      if (v = value(); !v.ok()) return Usage();
-      spec.incremental = *v;
+      if (!args->Read(flag, inline_value, &spec.incremental)) return Usage();
     } else if (flag == "--certify") {
       // Bare --certify means "on"; --certify=auto|off|on selects a mode.
       spec.certify = inline_value.has_value() ? *inline_value : "on";
     } else if (flag == "--inject-fault") {
-      if (v = value(); !v.ok()) return Usage();
-      spec.inject_fault = *v;
+      if (!args->Read(flag, inline_value, &spec.inject_fault)) return Usage();
     } else if (flag == "--wait") {
-      if (v = value(); !v.ok()) return Usage();
-      submit_wait = std::atof(v->c_str());
+      if (!args->Read(flag, inline_value, &submit_wait)) return Usage();
     } else {
       std::fprintf(stderr, "error: unknown %s flag %s\n", command.c_str(), flag.c_str());
       return Usage();
@@ -654,8 +660,12 @@ int CmdClient(const std::string& command, ArgReader* args) {
       return 1;
     }
     if (submit_wait > 0) {
-      return WaitLoop(socket_path, static_cast<uint64_t>(view.GetInt("id")),
-                      submit_wait);
+      cpr::Result<uint64_t> admitted_id = view.GetInt<uint64_t>("id");
+      if (!admitted_id.ok()) {
+        std::fprintf(stderr, "error: %s\n", admitted_id.error().message().c_str());
+        return 1;
+      }
+      return WaitLoop(socket_path, *admitted_id, submit_wait);
     }
     return 0;
   }
