@@ -190,13 +190,25 @@ assert all(wall >= stages[i]["duration_seconds"] - 1e-9 for i in spans), wall
 EOF
 }
 
+# The repair was simulated (a root pipeline.simulate span) and came out
+# sound: solved, with no residual graph or simulated violation.
+check_sound_simulated() {
+  python3 - "$1" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["repair"]["sound"] is True, doc["repair"]
+simulate = [s for s in doc["stages"] if s["name"] == "pipeline.simulate"]
+assert len(simulate) == 1 and simulate[0]["parent"] == -1, simulate
+EOF
+}
+
 echo "== compression smoke (symmetric compresses, asymmetric declines) =="
 comp_dir="$(mktemp -d /tmp/cpr-compress-XXXXXX)"
 comp_json="$comp_dir/stats.json"
 build/tools/cpr gen "$comp_dir/sym" --fattree 4 --broken --pc pc1 --policies 4 \
   --policy-out "$comp_dir/sym.policies" --seed 7 >/dev/null
 build/tools/cpr repair "$comp_dir/sym" "$comp_dir/sym.policies" \
-  --backend internal --compress auto --no-simulate \
+  --backend internal --compress auto \
   --stats-json "$comp_json" >/dev/null
 python3 - "$comp_json" <<'EOF'
 import json, sys
@@ -206,6 +218,7 @@ assert s["quotient_ratio"] > 1.0, s
 assert s["lift_verify_failures"] == 0, s
 EOF
 check_span_skeleton "$comp_json" pipeline.compress
+check_sound_simulated "$comp_json"
 # Fully asymmetric input must decline with the clean-fallback signature:
 # nothing applied and a no-op ratio. The ratio is a float that travels
 # through JSON formatting, so compare with a tolerance, never exact equality.
@@ -249,7 +262,7 @@ sys.exit("no repaired ACL deny found to revert")
 EOF
 incr_json="$incr_dir/stats.json"
 build/tools/cpr repair "$incr_dir/edited" "$incr_dir/policies" \
-  --backend internal --no-simulate --incremental --baseline "$incr_dir/repaired" \
+  --backend internal --incremental --baseline "$incr_dir/repaired" \
   --stats-json "$incr_json" >/dev/null
 python3 - "$incr_json" <<'EOF'
 import json, sys
@@ -260,6 +273,7 @@ assert s["groups_reused"] > 0, s
 assert not s["fell_back"], s
 EOF
 check_span_skeleton "$incr_json" pipeline.incremental
+check_sound_simulated "$incr_json"
 rm -rf "$incr_dir"
 echo "incremental smoke OK"
 
@@ -417,7 +431,7 @@ cmake -B build-asan -S . -DCPR_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$jobs"
 # Leak detection is off: Z3 keeps global state alive at exit.
 ASAN_OPTIONS=detect_leaks=0 ctest --test-dir build-asan --output-on-failure \
-  -j "$jobs" -R 'Robust|Repair|Workload|Solver|Smt|Sat|MaxSat|Failover|FaultInjection|Backend|Obs|Counter|Gauge|Histogram|Registry|Span|Json|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|DirtySet|PrepareHarc|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
+  -j "$jobs" -R 'Robust|Repair|Workload|Simulat|Solver|Smt|Sat|MaxSat|Failover|FaultInjection|Backend|Obs|Counter|Gauge|Histogram|Registry|Span|Json|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|DirtySet|PrepareHarc|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
 
 echo "== TSan configuration =="
 cmake -B build-tsan -S . -DCPR_TSAN=ON >/dev/null

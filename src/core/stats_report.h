@@ -25,6 +25,9 @@
 //       "wall_seconds", "bool_vars", "hard_constraints",
 //       "soft_constraints", "residual_graph_violations",
 //       "residual_simulation_violations",
+//       "sound",                       // solved, and no residual violation
+//                                      // (graph or simulated); "status" is
+//                                      // the solver outcome alone
 //       "solver_counter_totals": { "<name>": <double>, ... },
 //       "problems": [ { "dsts", "status", "attempts", "backend",
 //                       "solve_seconds", "cost", "message",

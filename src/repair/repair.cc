@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -387,17 +388,26 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
       std::unique_lock<std::mutex> lock(done_mu);
       done_cv.wait(lock, [&] { return done == problems.size(); });
     } else {
+      // The workers take the problems largest first (most hard constraints,
+      // ties in problem order): a large problem started last would keep one
+      // worker busy while the others sit idle. Every solve is independent,
+      // so the order changes only when each one runs, never its result.
+      std::vector<size_t> order(problems.size());
+      std::iota(order.begin(), order.end(), size_t{0});
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return encoders[a]->system().hard().size() > encoders[b]->system().hard().size();
+      });
       std::atomic<size_t> next{0};
       auto worker = [&]() {
         obs::RegistryScope registry_scope(request_registry);
         obs::TraceScope trace_scope(request_trace);
         std::unique_ptr<MaxSmtBackend> backend = MakeWorkerBackend(options, deadline);
         while (true) {
-          size_t index = next.fetch_add(1);
-          if (index >= problems.size()) {
+          size_t slot = next.fetch_add(1);
+          if (slot >= order.size()) {
             return;
           }
-          solve_one(index, backend.get());
+          solve_one(order[slot], backend.get());
         }
       };
       int worker_count = std::max(

@@ -4,10 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "config/parser.h"
+#include "obs/span.h"
 #include "repair/repair.h"
 #include "tests/example_network.h"
 #include "verify/checker.h"
 #include "verify/inference.h"
+#include "workload/fattree.h"
 
 namespace cpr {
 namespace {
@@ -168,6 +176,64 @@ TEST(RepairPc4Test, InternalBackendRejectsPc4WithoutFailover) {
   EXPECT_EQ(outcome->status, RepairStatus::kUnsupported);
   ASSERT_EQ(outcome->stats.problem_reports.size(), 1u);
   EXPECT_EQ(outcome->stats.problem_reports[0].status, MaxSmtResult::Status::kUnsupported);
+}
+
+// A request's own solver workers take its per-destination problems largest
+// first, ties in problem order. Every PC3 policy adds one traffic class's
+// hard constraints to its destination's problem, so one worker must take the
+// problems in order of non-increasing policy count.
+TEST(RepairScheduleTest, SolvesLargestProblemsFirst) {
+  FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kReachability, 12, 7);
+  std::vector<Config> configs;
+  for (const std::string& text : scenario.broken_configs) {
+    Result<Config> config = ParseConfig(text);
+    ASSERT_TRUE(config.ok()) << config.error().message();
+    configs.push_back(*std::move(config));
+  }
+  Result<Network> network = Network::Build(std::move(configs), scenario.annotations);
+  ASSERT_TRUE(network.ok()) << network.error().message();
+  Harc harc = Harc::Build(*network);
+
+  RepairOptions options;
+  options.granularity = Granularity::kPerDst;
+  options.backend = BackendChoice::kInternal;
+  options.num_threads = 1;
+  obs::Trace trace;
+  trace.Enable();
+  Result<RepairOutcome> outcome = [&] {
+    obs::TraceScope scope(&trace);
+    return ComputeRepair(harc, scenario.policies, options);
+  }();
+  ASSERT_TRUE(outcome.ok()) << outcome.error().message();
+  EXPECT_EQ(outcome->status, RepairStatus::kSuccess);
+
+  const std::vector<ProblemReport>& reports = outcome->stats.problem_reports;
+  std::vector<int> policy_count(reports.size(), 0);
+  for (size_t i = 0; i < reports.size(); ++i) {
+    for (const Policy& policy : scenario.policies) {
+      policy_count[i] += static_cast<int>(
+          std::count(reports[i].dsts.begin(), reports[i].dsts.end(), policy.dst));
+    }
+  }
+  std::vector<size_t> expected(reports.size());
+  std::iota(expected.begin(), expected.end(), size_t{0});
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](size_t a, size_t b) { return policy_count[a] > policy_count[b]; });
+  // The scenario's largest problem is not its first one.
+  ASSERT_FALSE(std::is_sorted(expected.begin(), expected.end()));
+
+  std::vector<size_t> solved;
+  for (const obs::SpanRecord& span : trace.Records()) {
+    if (span.name != "repair.problem") {
+      continue;
+    }
+    for (const auto& [key, value] : span.args) {
+      if (key == "problem") {
+        solved.push_back(std::stoul(value));
+      }
+    }
+  }
+  EXPECT_EQ(solved, expected);
 }
 
 }  // namespace

@@ -293,6 +293,34 @@ TEST(RepairSpanTreeTest, PlainCompressedAndIncrementalShareOneSkeleton) {
   }
 }
 
+// `status` is the solver outcome and `sound` the verdict. CPR's
+// uncompressed repair of a 6-port PC3 fat-tree solves every problem, yet
+// the simulator still finds all 32 policies violated: the document must
+// say success and unsound at once.
+TEST(StatsJsonSoundTest, SolvedRepairWithSimulatedResidualsIsNotSound) {
+  FatTreeScenario scenario = MakeFatTreeScenario(6, PolicyClass::kReachability, 32, 7);
+  Result<Cpr> broken = Cpr::FromConfigTexts(scenario.broken_configs, scenario.annotations);
+  ASSERT_TRUE(broken.ok()) << broken.error().message();
+  CprOptions options;
+  options.repair.backend = BackendChoice::kInternal;
+  options.repair.compress.mode = CompressMode::kOff;
+  Result<CprReport> report = broken->Repair(scenario.policies, options);
+  ASSERT_TRUE(report.ok()) << report.error().message();
+  EXPECT_EQ(report->status, RepairStatus::kSuccess);
+  EXPECT_EQ(report->residual_simulation_violations.size(), 32u);
+
+  StatsRunInfo run;
+  run.command = "repair";
+  run.backend = "internal";
+  run.status = RepairStatusName(report->status);
+  const std::string json = BuildStatsJson(run, &*report);
+  std::string error;
+  ASSERT_TRUE(obs::ValidateJson(json, &error)) << error;
+  EXPECT_NE(json.find("\"status\":\"success\""), std::string::npos);
+  EXPECT_NE(json.find("\"residual_simulation_violations\":32"), std::string::npos);
+  EXPECT_NE(json.find("\"sound\":false"), std::string::npos);
+}
+
 TEST(StatsJsonStandaloneTest, BuildsWithoutRepairReport) {
   obs::Registry::Global().Reset();
   obs::Trace::Global().Enable();
