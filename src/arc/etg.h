@@ -8,9 +8,10 @@
 // edges are present, so one type represents all of them.
 //
 // Edge weights default to the universe's configuration-derived values (OSPF
-// interface costs); only repaired weights are stored per-ETG. This keeps a
-// network with tens of thousands of traffic classes (the paper's largest has
-// 82K) at a bit per candidate edge per tcETG.
+// interface costs); the only weights stored per ETG are the administrative
+// distances of static-route edges a dETG adds. This keeps a network with
+// tens of thousands of traffic classes (the paper's largest has 82K) at a
+// bit per candidate edge per tcETG.
 
 #ifndef CPR_SRC_ARC_ETG_H_
 #define CPR_SRC_ARC_ETG_H_
@@ -42,9 +43,6 @@ class Etg {
                                          : universe_->edge(edge).default_weight;
   }
   void SetWeight(CandidateEdgeId edge, double weight) { weight_overrides_[edge] = weight; }
-  const std::unordered_map<CandidateEdgeId, double>& weight_overrides() const {
-    return weight_overrides_;
-  }
 
   int PresentEdgeCount() const;
 

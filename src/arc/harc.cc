@@ -597,23 +597,4 @@ Status Harc::CheckHierarchy() const {
   return Status::Ok();
 }
 
-void Harc::ApplyWeightOverride(CandidateEdgeId edge, double weight) {
-  aetg_.SetWeight(edge, weight);
-  for (Etg& detg : detgs_) {
-    detg.SetWeight(edge, weight);
-  }
-  const int subnet_count = SubnetCount();
-  for (SubnetId s = 0; s < subnet_count; ++s) {
-    for (SubnetId d = 0; d < subnet_count; ++d) {
-      if (s != d) {
-        tcetgs_[TcIndex(s, d)].SetWeight(edge, weight);
-      }
-    }
-  }
-}
-
-bool Harc::IsStaticRouteEdge(SubnetId dst, CandidateEdgeId edge) const {
-  return detgs_[static_cast<size_t>(dst)].IsPresent(edge) && !aetg_.IsPresent(edge);
-}
-
 }  // namespace cpr

@@ -38,15 +38,10 @@ class Harc {
   const Network& network() const { return universe_->network(); }
 
   const Etg& aetg() const { return aetg_; }
-  Etg& mutable_aetg() { return aetg_; }
-
   const Etg& detg(SubnetId dst) const { return detgs_[static_cast<size_t>(dst)]; }
-  Etg& mutable_detg(SubnetId dst) { return detgs_[static_cast<size_t>(dst)]; }
-
   const Etg& tcetg(SubnetId src, SubnetId dst) const {
     return tcetgs_[TcIndex(src, dst)];
   }
-  Etg& mutable_tcetg(SubnetId src, SubnetId dst) { return tcetgs_[TcIndex(src, dst)]; }
 
   int SubnetCount() const { return static_cast<int>(detgs_.size()); }
 
@@ -56,14 +51,6 @@ class Harc {
 
   // Verifies hierarchy constraints 18-19 (§5.1) hold on every layer.
   Status CheckHierarchy() const;
-
-  // Overrides the weight of a candidate edge in every ETG of the HARC (edge
-  // costs are global across ETGs; used when a PC4 repair changes a cost).
-  void ApplyWeightOverride(CandidateEdgeId edge, double weight);
-
-  // True when a dETG edge is attributable to a static route (present in the
-  // dETG but either absent from the aETG or not adjacency-realizable).
-  bool IsStaticRouteEdge(SubnetId dst, CandidateEdgeId edge) const;
 
   // --- Incremental rebuilds (src/incremental; DESIGN.md §12) ---
   //
@@ -86,8 +73,8 @@ class Harc {
   // every dirty destination afterwards.
   std::optional<Harc> CloneFor(const Network& network) const;
 
-  // Harc is copyable: copies share the (immutable) universe, so a repair can
-  // clone the original and mutate presence bitmaps in place.
+  // Harc is copyable: copies share the (immutable) universe and own their
+  // presence bitmaps (CloneFor copies, then rebinds the universe).
 
  private:
   size_t TcIndex(SubnetId src, SubnetId dst) const {

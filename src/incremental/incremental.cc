@@ -117,12 +117,8 @@ Result<IncrementalOutcome> TryIncrementalRepair(const RepairSession& session,
   PatchedRepair result;
   result.status = RepairStatus::kNoViolations;
   if (!resolve.empty()) {
-    // Hand exactly the dirty groups to the unchanged repair engine. Merge
-    // propagation is skipped because every un-encoded ETG already reflects
-    // the current configurations (clean ones by the differ, dirty
-    // non-violated ones by the clone's rebuild).
+    // Hand exactly the dirty groups to the unchanged repair engine.
     RepairOptions scoped = options;
-    scoped.propagate_merge = false;
     scoped.compress.mode = CompressMode::kOff;
     const auto solve_start = std::chrono::steady_clock::now();
     Result<RepairOutcome> solved = ComputeRepair(harc, resolve, scoped);

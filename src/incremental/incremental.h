@@ -5,14 +5,13 @@
 // onto the new snapshot, rebuilding only dirty destinations; (2) reuses the
 // baseline verdict of every clean satisfied group and hands exactly the
 // dirty groups back to the unchanged repair engine — the same per-problem
-// solves a full repair runs — with the O(S^2 E) merge-propagation pass
-// disabled;
-// (3) hands the merged edits to the shared patch, re-verify and fallback
-// routine (translate/patch.h): a from-scratch network and HARC rebuild, a
-// check of every policy, and one full-scope repair on the rebuilt snapshot
-// for any residual violation. A failed scoped or fallback solve disengages
-// the incremental result entirely and the caller runs the full pipeline, so
-// soundness never depends on the dirty-set analysis or the HARC clone.
+// solves a full repair runs; (3) hands the merged edits to the shared
+// patch, re-verify and fallback routine (translate/patch.h): a from-scratch
+// network and HARC rebuild, a check of every policy, and one full-scope
+// repair on the rebuilt snapshot for any residual violation. A failed
+// scoped or fallback solve disengages the incremental result entirely and
+// the caller runs the full pipeline, so soundness never depends on the
+// dirty-set analysis or the HARC clone.
 
 #ifndef CPR_SRC_INCREMENTAL_INCREMENTAL_H_
 #define CPR_SRC_INCREMENTAL_INCREMENTAL_H_

@@ -125,7 +125,9 @@ ExprId RepairEncoder::AdjacencyExpr(const CandidateEdge& edge, CandidateEdgeId /
   }
   bool original = AdjacencyConfigured(universe_.network(), edge);
   ExprId expr;
-  if (!problem_.mutable_aetg) {
+  // Only kAllTcs may change the aETG: per-destination problems hold it fixed
+  // so that they commute.
+  if (options_.granularity != Granularity::kAllTcs) {
     expr = original ? system_.True() : system_.False();
   } else {
     BVarId var = system_.NewBool("adj_l" + std::to_string(key.link) + "_p" +
@@ -276,7 +278,7 @@ void RepairEncoder::BuildAetgLayer() {
         break;
       case EtgEdgeKind::kRedistribution: {
         bool original = RedistributionConfigured(universe_.network(), edge);
-        if (!problem_.mutable_aetg) {
+        if (options_.granularity != Granularity::kAllTcs) {
           expr = original ? system_.True() : system_.False();
         } else {
           BVarId var = system_.NewBool("rd_" + EdgeName(universe_, e));
@@ -712,15 +714,6 @@ bool RepairEncoder::EvalExpr(const MaxSmtResult& model, ExprId e) const {
   // The recursion lives on ConstraintSystem so backends evaluate models the
   // same way the decoder does (one semantics for "violated").
   return system_.EvalOnModel(e, model.bool_values, model.int_values);
-}
-
-bool RepairEncoder::DecodeAll(const MaxSmtResult& model, CandidateEdgeId e) const {
-  return EvalExpr(model, all_layer_[static_cast<size_t>(e)]);
-}
-
-bool RepairEncoder::DecodeDst(const MaxSmtResult& model, SubnetId dst,
-                              CandidateEdgeId e) const {
-  return EvalExpr(model, dst_layers_.at(dst)[static_cast<size_t>(e)]);
 }
 
 bool RepairEncoder::DecodeTc(const MaxSmtResult& model, SubnetId src, SubnetId dst,

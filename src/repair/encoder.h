@@ -2,8 +2,8 @@
 //
 // A RepairProblem names the slice of the HARC being repaired: a set of
 // destinations (their dETGs), the policied traffic classes under those
-// destinations (their tcETGs), the policies that must hold, and whether the
-// aETG may change.
+// destinations (their tcETGs) and the policies that must hold. The aETG may
+// change only under Granularity::kAllTcs (options.h).
 //
 // Decision variables correspond to *configuration constructs* rather than
 // raw edges (a soundness refinement over the paper's per-edge formulation —
@@ -61,8 +61,6 @@ struct RepairProblem {
   std::vector<std::pair<SubnetId, SubnetId>> tcs;
   // Policies to enforce (their traffic classes must all appear in `tcs`).
   std::vector<Policy> policies;
-  // Whether aETG-level constructs (adjacencies, redistribution) may change.
-  bool mutable_aetg = true;
 };
 
 class RepairEncoder {
@@ -77,9 +75,7 @@ class RepairEncoder {
   const ConstraintSystem& system() const { return system_; }
 
   // --- Decoding ---
-  // Presence of edge `e` at each level under the model.
-  bool DecodeAll(const MaxSmtResult& model, CandidateEdgeId e) const;
-  bool DecodeDst(const MaxSmtResult& model, SubnetId dst, CandidateEdgeId e) const;
+  // Presence of edge `e` in the tcETG of (src, dst) under the model.
   bool DecodeTc(const MaxSmtResult& model, SubnetId src, SubnetId dst,
                 CandidateEdgeId e) const;
   // Appends every construct whose model value differs from the original

@@ -120,8 +120,8 @@ struct RepairOptions {
   // When the internal backend reports kUnsupported for a problem, re-solve
   // that problem on Z3 instead of failing the run.
   bool enable_failover = true;
-  // Merge the models of solved problems even when other problems failed
-  // (RepairStatus::kPartial); failed problems leave their dETGs untouched.
+  // Merge the edits of solved problems even when other problems failed
+  // (RepairStatus::kPartial); failed problems contribute no edits.
   bool allow_partial = true;
   // Testing hook: deterministically degrade solver calls (see
   // solver/fault_injection.h). Disabled by default.
@@ -151,13 +151,6 @@ struct RepairOptions {
   // Symmetry-quotient compression pre-pass (off by default; the bench rows
   // and the paper pipeline are measured uncompressed unless asked).
   CompressOptions compress;
-
-  // --- Incremental re-repair hook (src/incremental; DESIGN.md §12) ---
-  // Propagate merged changes to un-encoded dETGs/tcETGs after the merge loop
-  // (the O(S^2 E) alignment pass). The incremental engine disables this and
-  // instead rebuilds exactly the dirty ETGs from the patched network, which
-  // is both cheaper and exact.
-  bool propagate_merge = true;
 };
 
 }  // namespace cpr

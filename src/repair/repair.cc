@@ -38,10 +38,9 @@ double Seconds(Clock::time_point start) {
 // Isolation policies span two destinations; the partitioner guarantees both
 // land in the same set.
 RepairProblem MakeProblem(const std::vector<Policy>& policies,
-                          const std::set<SubnetId>& dsts, bool mutable_aetg) {
+                          const std::set<SubnetId>& dsts) {
   RepairProblem problem;
   problem.dsts.assign(dsts.begin(), dsts.end());
-  problem.mutable_aetg = mutable_aetg;
   std::set<std::pair<SubnetId, SubnetId>> tcs;
   for (const Policy& policy : policies) {
     if (policy.pc == PolicyClass::kIsolation) {
@@ -115,49 +114,6 @@ std::map<int, std::set<SubnetId>> GroupPoliciedDsts(const Harc& harc,
 
 }  // namespace
 
-std::vector<RepairProblem> PartitionProblems(const Harc& harc,
-                                             const std::vector<Policy>& policies,
-                                             const RepairOptions& options) {
-  std::vector<RepairProblem> problems;
-  if (policies.empty()) {
-    return problems;
-  }
-  if (options.granularity == Granularity::kAllTcs) {
-    std::set<SubnetId> dsts;
-    for (const Policy& policy : policies) {
-      dsts.insert(policy.dst);
-    }
-    problems.push_back(MakeProblem(policies, dsts, /*mutable_aetg=*/true));
-    return problems;
-  }
-
-  // kPerDst: only destinations with a violated policy need repair, but
-  // destinations coupled by shared state must be solved together:
-  // PC4 policies share global edge costs (all their destinations form one
-  // group), and an isolation policy's two destinations constrain each other.
-  std::vector<Policy> violations = FindViolations(harc, policies);
-  std::set<SubnetId> violated_dsts;
-  for (const Policy& policy : violations) {
-    violated_dsts.insert(policy.dst);
-    if (policy.pc == PolicyClass::kIsolation) {
-      violated_dsts.insert(policy.dst2);
-    }
-  }
-
-  // A group is repaired when any member destination has a violation; the
-  // PC4 group additionally pulls in all its members regardless.
-  std::map<int, std::set<SubnetId>> members = GroupPoliciedDsts(harc, policies);
-  for (const auto& [root, dsts] : members) {
-    bool needed = std::any_of(dsts.begin(), dsts.end(), [&](SubnetId d) {
-      return violated_dsts.count(d) > 0;
-    });
-    if (needed) {
-      problems.push_back(MakeProblem(policies, dsts, /*mutable_aetg=*/false));
-    }
-  }
-  return problems;
-}
-
 std::vector<RepairProblem> PartitionAllGroups(const Harc& harc,
                                               const std::vector<Policy>& policies,
                                               const RepairOptions& options) {
@@ -170,13 +126,37 @@ std::vector<RepairProblem> PartitionAllGroups(const Harc& harc,
     for (const Policy& policy : policies) {
       dsts.insert(policy.dst);
     }
-    problems.push_back(MakeProblem(policies, dsts, /*mutable_aetg=*/true));
+    problems.push_back(MakeProblem(policies, dsts));
     return problems;
   }
   std::map<int, std::set<SubnetId>> members = GroupPoliciedDsts(harc, policies);
   for (const auto& [root, dsts] : members) {
-    problems.push_back(MakeProblem(policies, dsts, /*mutable_aetg=*/false));
+    problems.push_back(MakeProblem(policies, dsts));
   }
+  return problems;
+}
+
+std::vector<RepairProblem> PartitionProblems(const Harc& harc,
+                                             const std::vector<Policy>& policies,
+                                             const RepairOptions& options) {
+  std::vector<RepairProblem> problems = PartitionAllGroups(harc, policies, options);
+  if (options.granularity == Granularity::kAllTcs) {
+    return problems;
+  }
+  // kPerDst: only destinations with a violated policy need repair. A group
+  // (shared PC4 costs, isolation pairs) is repaired whole when any member
+  // destination has a violation.
+  std::set<SubnetId> violated_dsts;
+  for (const Policy& policy : FindViolations(harc, policies)) {
+    violated_dsts.insert(policy.dst);
+    if (policy.pc == PolicyClass::kIsolation) {
+      violated_dsts.insert(policy.dst2);
+    }
+  }
+  std::erase_if(problems, [&](const RepairProblem& problem) {
+    return std::none_of(problem.dsts.begin(), problem.dsts.end(),
+                        [&](SubnetId d) { return violated_dsts.count(d) > 0; });
+  });
   return problems;
 }
 
@@ -245,13 +225,11 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
   // encoding, no solver calls. (Mid-run exhaustion still reports kTimeout
   // per problem, preserving partial-merge semantics.)
   if (deadline.Expired()) {
-    outcome.repaired = original;
     outcome.status = RepairStatus::kDeadlineExceeded;
     outcome.stats.wall_seconds = Seconds(wall_start);
     obs::CurrentRegistry().counter("repair.deadline_rejects").Increment();
     return outcome;
   }
-  outcome.repaired = original;
 
   std::vector<RepairProblem> problems;
   {
@@ -431,6 +409,10 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
     outcome.stats.solve_seconds += t;
   }
 
+  // Everything after the solve is one stage: per-problem reports, certificate
+  // artifacts, merging the solved problems' edits, and freeing the encoders'
+  // constraint systems, which on large problems takes measurable time.
+  obs::StageSpan merge_span("repair.merge");
   // Record per-problem diagnostics and classify the run.
   outcome.stats.problem_reports.reserve(problems.size());
   std::map<std::string, double> counter_totals;
@@ -550,186 +532,76 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
   if (outcome.stats.problems_solved == 0 ||
       (outcome.stats.problems_failed > 0 && !options.allow_partial)) {
     outcome.status = overall_failure();
-    outcome.stats.wall_seconds = Seconds(wall_start);
-    return outcome;
-  }
-
-  // Merge the solved models into the repaired HARC. Failed problems are
-  // skipped: their dETGs/tcETGs stay exactly as in the original (the
-  // `settled` sets below also shield them from re-derivation), so a partial
-  // repair degrades gracefully instead of corrupting unsolved destinations.
-  const EtgUniverse& universe = original.universe();
-  std::set<SubnetId> settled_dsts;
-  std::set<std::pair<SubnetId, SubnetId>> settled_tcs;
-  for (size_t i = 0; i < problems.size(); ++i) {
-    const RepairProblem& problem = problems[i];
-    const RepairEncoder& encoder = *encoders[i];
-    const MaxSmtResult& model = models[i];
-    if (!model.ok()) {
-      settled_dsts.insert(problem.dsts.begin(), problem.dsts.end());
-      settled_tcs.insert(problem.tcs.begin(), problem.tcs.end());
-      continue;
-    }
-    outcome.predicted_cost += model.cost;
-    if (problem.mutable_aetg) {
-      for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
-        outcome.repaired.mutable_aetg().SetPresent(e, encoder.DecodeAll(model, e));
-      }
-    }
-    for (SubnetId dst : problem.dsts) {
-      settled_dsts.insert(dst);
-      for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
-        outcome.repaired.mutable_detg(dst).SetPresent(e, encoder.DecodeDst(model, dst, e));
-      }
-    }
-    for (const auto& [src, dst] : problem.tcs) {
-      settled_tcs.insert({src, dst});
-      for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
-        outcome.repaired.mutable_tcetg(src, dst).SetPresent(
-            e, encoder.DecodeTc(model, src, dst, e));
-      }
-    }
-    // Collect this problem's edits into their own record first: every entry
-    // belongs to problem `i`, which is what lets each edit's provenance
-    // chain name its owning problem and the soft constraint it flipped — and
-    // what the incremental engine replays for untouched groups.
-    RepairEdits problem_edits;
-    encoder.CollectEdits(model, &problem_edits);
-    const Network& problem_network = original.network();
-    auto attach = [&](const auto& edits_vec) {
-      for (size_t j = 0; j < edits_vec.size(); ++j) {
-        std::string construct = ConstructKey(edits_vec[j]);
-        obs::ProvenanceChain chain;
-        chain.construct = construct;
-        chain.edit = Describe(edits_vec[j]);
-        chain.problem = static_cast<int>(i);
-        chain.backend = model.backend;
-        for (SubnetId dst : problem.dsts) {
-          chain.dsts.push_back(
-              problem_network.subnets()[static_cast<size_t>(dst)].prefix.ToString());
-        }
-        for (const Policy& policy : problem.policies) {
-          chain.policies.push_back(policy.ToString(problem_network));
-        }
-        const auto& softs = encoder.system().soft();
-        for (int soft_index : model.violated_soft) {
-          const SoftConstraint& soft = softs[static_cast<size_t>(soft_index)];
-          if (soft.label == construct) {
-            chain.soft_label = soft.label;
-            chain.soft_weight = soft.weight;
-            break;
-          }
-        }
-        if (chain.soft_label.empty()) {
-          // Construct key mismatch between encoder label and decoder edit —
-          // surfaced instead of silently dropped (check.sh greps for zero).
-          outcome.provenance.orphan_edits.push_back(construct + ": " + chain.edit);
-        } else {
-          outcome.provenance.chains.push_back(std::move(chain));
-        }
-      }
-    };
-    attach(problem_edits.adjacencies);
-    attach(problem_edits.redistributions);
-    attach(problem_edits.filters);
-    attach(problem_edits.static_routes);
-    attach(problem_edits.acls);
-    attach(problem_edits.costs);
-    attach(problem_edits.waypoints);
-    AppendEdits(problem_edits, &outcome.edits);
-    outcome.stats.problem_reports[i].edits = std::move(problem_edits);
-  }
-
-  // Propagate changes to ETGs that were not encoded, by re-deriving them
-  // from the (possibly changed) aETG plus the *unchanged* destination- and
-  // traffic-class-scoped constructs in the configurations — the same rules
-  // the HARC builder applies. This reproduces cross-traffic-class effects:
-  // e.g. a newly enabled adjacency becomes visible to every unpoliced
-  // destination, exactly as OSPF would behave. The incremental engine turns
-  // this O(S^2 E) pass off and instead rebuilds exactly the dirty ETGs from
-  // the patched network.
-  const Network& network = original.network();
-  const int subnet_count = options.propagate_merge ? original.SubnetCount() : 0;
-  for (SubnetId d = 0; d < subnet_count; ++d) {
-    const Ipv4Prefix& dst_prefix = network.subnets()[static_cast<size_t>(d)].prefix;
-    if (settled_dsts.count(d) == 0) {
-      Etg& detg = outcome.repaired.mutable_detg(d);
-      for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
-        const CandidateEdge& edge = universe.edge(e);
-        bool value = false;
-        switch (edge.kind) {
-          case EtgEdgeKind::kIntraSelf:
-            value = true;
-            break;
-          case EtgEdgeKind::kEndpointSrc:
-            value = edge.subnet != d;
-            break;
-          case EtgEdgeKind::kEndpointDst:
-            value = edge.subnet == d;
-            break;
-          case EtgEdgeKind::kRedistribution:
-            value = outcome.repaired.aetg().IsPresent(e) &&
-                    !ProcessBlocksDestination(network, edge.from_process, dst_prefix) &&
-                    !ProcessBlocksDestination(network, edge.to_process, dst_prefix);
-            break;
-          case EtgEdgeKind::kInterDevice:
-            value = (outcome.repaired.aetg().IsPresent(e) &&
-                     !ProcessBlocksDestination(network, edge.from_process, dst_prefix) &&
-                     !ProcessBlocksDestination(network, edge.to_process, dst_prefix)) ||
-                    StaticRouteConfigured(network, edge.device, edge.link, dst_prefix);
-            break;
-        }
-        detg.SetPresent(e, value);
-      }
-    }
-    for (SubnetId s = 0; s < subnet_count; ++s) {
-      if (s == d || settled_tcs.count({s, d}) > 0) {
+  } else {
+    // Merge the solved problems' edits. A failed problem contributes none,
+    // so its destinations keep their configurations and its policies stay
+    // violated: a partial repair degrades gracefully.
+    const Network& network = original.network();
+    for (size_t i = 0; i < problems.size(); ++i) {
+      const RepairProblem& problem = problems[i];
+      const RepairEncoder& encoder = *encoders[i];
+      const MaxSmtResult& model = models[i];
+      if (!model.ok()) {
         continue;
       }
-      const TrafficClass tc(network.subnets()[static_cast<size_t>(s)].prefix, dst_prefix);
-      const Etg& detg = outcome.repaired.detg(d);
-      Etg& tcetg = outcome.repaired.mutable_tcetg(s, d);
-      for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
-        const CandidateEdge& edge = universe.edge(e);
-        bool value = detg.IsPresent(e);
-        if (value) {
-          switch (edge.kind) {
-            case EtgEdgeKind::kInterDevice:
-              value = !LinkAclBlocks(network, edge.link, edge.device, tc);
+      outcome.predicted_cost += model.cost;
+      // Collect this problem's edits into their own record first: every
+      // entry belongs to problem `i`, which is what lets each edit's
+      // provenance chain name its owning problem and the soft constraint it
+      // flipped — and what the incremental engine replays for untouched
+      // groups.
+      RepairEdits problem_edits;
+      encoder.CollectEdits(model, &problem_edits);
+      std::vector<std::string> dst_names;
+      for (SubnetId dst : problem.dsts) {
+        dst_names.push_back(network.subnets()[static_cast<size_t>(dst)].prefix.ToString());
+      }
+      std::vector<std::string> policy_names;
+      for (const Policy& policy : problem.policies) {
+        policy_names.push_back(policy.ToString(network));
+      }
+      auto attach = [&](const auto& edits_vec) {
+        for (const auto& edit : edits_vec) {
+          std::string construct = ConstructKey(edit);
+          obs::ProvenanceChain chain;
+          chain.construct = construct;
+          chain.edit = Describe(edit);
+          chain.problem = static_cast<int>(i);
+          chain.backend = model.backend;
+          chain.dsts = dst_names;
+          chain.policies = policy_names;
+          const auto& softs = encoder.system().soft();
+          for (int soft_index : model.violated_soft) {
+            const SoftConstraint& soft = softs[static_cast<size_t>(soft_index)];
+            if (soft.label == construct) {
+              chain.soft_label = soft.label;
+              chain.soft_weight = soft.weight;
               break;
-            case EtgEdgeKind::kEndpointSrc:
-              value = edge.subnet == s &&
-                      !EndpointAclBlocks(network, edge.subnet, /*src_side=*/true, tc);
-              break;
-            case EtgEdgeKind::kEndpointDst:
-              value = edge.subnet == d &&
-                      !EndpointAclBlocks(network, edge.subnet, /*src_side=*/false, tc);
-              break;
-            case EtgEdgeKind::kIntraSelf:
-            case EtgEdgeKind::kRedistribution:
-              break;
+            }
+          }
+          if (chain.soft_label.empty()) {
+            // Construct key mismatch between encoder label and decoder edit —
+            // surfaced instead of silently dropped (check.sh greps for zero).
+            outcome.provenance.orphan_edits.push_back(construct + ": " + chain.edit);
+          } else {
+            outcome.provenance.chains.push_back(std::move(chain));
           }
         }
-        tcetg.SetPresent(e, value);
-      }
+      };
+      attach(problem_edits.adjacencies);
+      attach(problem_edits.redistributions);
+      attach(problem_edits.filters);
+      attach(problem_edits.static_routes);
+      attach(problem_edits.acls);
+      attach(problem_edits.costs);
+      attach(problem_edits.waypoints);
+      AppendEdits(problem_edits, &outcome.edits);
+      outcome.stats.problem_reports[i].edits = std::move(problem_edits);
     }
+    outcome.status = outcome.stats.problems_failed > 0 ? RepairStatus::kPartial
+                                                       : RepairStatus::kSuccess;
   }
-
-  // Apply new edge costs as weight overrides so graph-level verification of
-  // the repaired HARC sees them (the translator separately turns them into
-  // interface cost changes).
-  for (const CostEdit& change : outcome.edits.costs) {
-    for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
-      const CandidateEdge& edge = universe.edge(e);
-      if (edge.kind == EtgEdgeKind::kInterDevice && edge.link == change.link &&
-          edge.device == change.egress_device) {
-        outcome.repaired.ApplyWeightOverride(e, change.new_cost);
-      }
-    }
-  }
-
-  outcome.status = outcome.stats.problems_failed > 0 ? RepairStatus::kPartial
-                                                     : RepairStatus::kSuccess;
+  encoders.clear();
   outcome.stats.wall_seconds = Seconds(wall_start);
   return outcome;
 }

@@ -1,6 +1,6 @@
 // The repair engine: partitions policies into MaxSMT problems (paper §5.3),
-// solves them (optionally in parallel), and merges the models into a
-// repaired HARC.
+// solves them (optionally in parallel), and merges the solved models'
+// construct edits into one repair.
 //
 // In kAllTcs mode there is a single problem over every policied traffic
 // class, with the aETG mutable. In kPerDst mode there is one problem per
@@ -9,11 +9,12 @@
 // fixed so the problems commute, and every destination carrying a PC4
 // policy is merged into one problem because edge costs are global.
 //
-// After solving, changes propagate to the ETGs that were not encoded: an
-// unpoliced destination's dETG follows the aETG wherever it originally
-// aligned with it and keeps its original deviations (static routes, route
-// filters); unpoliced traffic classes follow their dETG the same way. This
-// reproduces the cross-traffic-class semantics of the underlying constructs.
+// A repair's output is its construct edits; the translator turns them into
+// configuration lines. The only repaired network is the one rebuilt from the
+// patched configurations: the core pipeline re-verifies every policy on the
+// HARC built from it, which also captures an edit's effect on traffic
+// classes no problem encoded (a newly enabled adjacency reaches every
+// destination, as OSPF would).
 
 #ifndef CPR_SRC_REPAIR_REPAIR_H_
 #define CPR_SRC_REPAIR_REPAIR_H_
@@ -33,7 +34,7 @@ namespace cpr {
 
 enum class RepairStatus {
   kSuccess,
-  kNoViolations,  // Nothing to repair; `repaired` equals the original.
+  kNoViolations,  // Nothing to repair; the outcome carries no edits.
   kPartial,       // Some problems solved and merged, others failed; see
                   // RepairStats::problem_reports for per-problem outcomes.
   kUnsat,         // The policies are jointly unsatisfiable on this topology.
@@ -146,7 +147,6 @@ struct RepairStats {
 
 struct RepairOutcome {
   RepairStatus status = RepairStatus::kSuccess;
-  Harc repaired;
   // Construct-level changes: what the translator turns into configuration
   // lines.
   RepairEdits edits;
@@ -158,15 +158,6 @@ struct RepairOutcome {
   // -> construct), plus per-problem unsat cores. `config_changes` is filled
   // later by the core pipeline once the translator has emitted lines.
   obs::ProvenanceReport provenance;
-
-  // Links gaining a waypoint (convenience view over `edits`).
-  std::vector<LinkId> NewWaypointLinks() const {
-    std::vector<LinkId> links;
-    for (const WaypointEdit& wp : edits.waypoints) {
-      links.push_back(wp.link);
-    }
-    return links;
-  }
 
   bool ok() const { return status == RepairStatus::kSuccess || status == RepairStatus::kNoViolations; }
 

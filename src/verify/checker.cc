@@ -1,5 +1,7 @@
 #include "verify/checker.h"
 
+#include <set>
+
 #include "graph/max_flow.h"
 #include "graph/reachability.h"
 #include "graph/shortest_path.h"
@@ -36,20 +38,11 @@ bool CheckAlwaysBlocked(const Harc& harc, SubnetId src, SubnetId dst) {
   return !IsReachable(graph, harc.SrcVertex(src), harc.DstVertex(dst));
 }
 
-bool CheckAlwaysWaypoint(const Harc& harc, SubnetId src, SubnetId dst,
-                         const std::set<LinkId>& extra_waypoints) {
-  const Etg& tcetg = harc.tcetg(src, dst);
-  Digraph graph = tcetg.ToDigraph();
+bool CheckAlwaysWaypoint(const Harc& harc, SubnetId src, SubnetId dst) {
+  Digraph graph = harc.tcetg(src, dst).ToDigraph();
   const EtgUniverse& universe = harc.universe();
-  EdgeFilter no_waypoint_edges = [&universe, &extra_waypoints](EdgeId id) {
-    const CandidateEdge& edge = universe.edge(id);
-    if (edge.waypoint) {
-      return false;
-    }
-    if (edge.kind == EtgEdgeKind::kInterDevice && extra_waypoints.count(edge.link) > 0) {
-      return false;
-    }
-    return true;
+  EdgeFilter no_waypoint_edges = [&universe](EdgeId id) {
+    return !universe.edge(id).waypoint;
   };
   return !IsReachable(graph, harc.SrcVertex(src), harc.DstVertex(dst), no_waypoint_edges);
 }

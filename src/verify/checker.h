@@ -9,7 +9,6 @@
 #ifndef CPR_SRC_VERIFY_CHECKER_H_
 #define CPR_SRC_VERIFY_CHECKER_H_
 
-#include <set>
 #include <vector>
 
 #include "arc/harc.h"
@@ -28,11 +27,8 @@ std::vector<Policy> FindViolations(const Harc& harc, const std::vector<Policy>& 
 // PC1: SRC and DST are in separate components of the tcETG.
 bool CheckAlwaysBlocked(const Harc& harc, SubnetId src, SubnetId dst);
 
-// PC2: removing waypoint edges separates SRC and DST. `extra_waypoints` are
-// links where a repair placed a waypoint that is not yet reflected in the
-// network annotations (paper footnote 2 allows adding waypoints).
-bool CheckAlwaysWaypoint(const Harc& harc, SubnetId src, SubnetId dst,
-                         const std::set<LinkId>& extra_waypoints = {});
+// PC2: removing waypoint edges separates SRC and DST.
+bool CheckAlwaysWaypoint(const Harc& harc, SubnetId src, SubnetId dst);
 
 // PC3: link-disjoint max-flow from SRC to DST is >= k. Returns the flow
 // value so inference can reuse it.

@@ -1,13 +1,23 @@
 // End-to-end pipeline tests: repair -> translation -> rebuilt network ->
 // graph re-verification -> control-plane simulation, on the paper's running
-// example (§2.2).
+// example (§2.2); the translator's exactness also on broken fat-trees.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "core/cpr.h"
+#include "repair/encoder.h"
+#include "repair/repair.h"
 #include "simulate/simulator.h"
+#include "solver/backend.h"
 #include "tests/example_network.h"
+#include "tests/patched_harc.h"
 #include "verify/checker.h"
+#include "workload/fattree.h"
 
 namespace cpr {
 namespace {
@@ -115,40 +125,122 @@ TEST_F(PipelineTest, RepairWithPc4PinsPrimaryPath) {
                                << " sim: " << report->residual_simulation_violations.size();
 }
 
-// The rebuilt HARC must agree with the solver's repaired HARC on every
-// policied traffic class — translation is exact.
-TEST_F(PipelineTest, RebuiltHarcMatchesRepairedHarc) {
+// The translator is exact when the HARC rebuilt from the patched
+// configurations agrees with what the solved models predict. Encodes and
+// solves every problem ComputeRepair would formulate, records each model's
+// tcETG for every traffic class the problem encodes, translates the merged
+// edits and rebuilds. Every edge a model predicts present must be present in
+// the rebuilt HARC; with `exact`, every edge it predicts absent must be
+// absent there too.
+void ExpectRebuiltHarcMatchesModels(const Network& network,
+                                    const std::vector<Policy>& policies,
+                                    const RepairOptions& options, bool exact) {
+  const Harc harc = Harc::Build(network);
+  const EtgUniverse& universe = harc.universe();
+  std::map<std::pair<SubnetId, SubnetId>, std::vector<bool>> predicted;
+  RepairEdits edits;
+  for (const RepairProblem& problem : PartitionProblems(harc, policies, options)) {
+    RepairEncoder encoder(harc, problem, options);
+    Status encoded = encoder.Encode();
+    ASSERT_TRUE(encoded.ok()) << encoded.error().message();
+    std::unique_ptr<MaxSmtBackend> backend = options.backend == BackendChoice::kZ3
+                                                 ? MakeZ3Backend()
+                                                 : MakeInternalBackend();
+    MaxSmtResult model = backend->Solve(encoder.system(), /*timeout_seconds=*/0);
+    ASSERT_TRUE(model.ok()) << MaxSmtStatusName(model.status) << ": " << model.message;
+    for (const auto& [src, dst] : problem.tcs) {
+      std::vector<bool>& present = predicted[{src, dst}];
+      for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
+        present.push_back(encoder.DecodeTc(model, src, dst, e));
+      }
+    }
+    encoder.CollectEdits(model, &edits);
+  }
+  ASSERT_FALSE(predicted.empty()) << "no policy is violated";
+
+  PatchedHarc patched = BuildPatchedHarc(network, edits);
+  ASSERT_EQ(patched.harc.universe().EdgeCount(), universe.EdgeCount());
+  for (const auto& [tc, present] : predicted) {
+    const Etg& rebuilt = patched.harc.tcetg(tc.first, tc.second);
+    for (CandidateEdgeId e = 0; e < universe.EdgeCount(); ++e) {
+      const bool in_model = present[static_cast<size_t>(e)];
+      if (in_model == rebuilt.IsPresent(e) || (!exact && !in_model)) {
+        continue;
+      }
+      ADD_FAILURE() << "edge " << e << " (" << universe.VertexName(universe.edge(e).from)
+                    << " -> " << universe.VertexName(universe.edge(e).to) << ") of "
+                    << network.subnets()[static_cast<size_t>(tc.first)].prefix.ToString()
+                    << " -> "
+                    << network.subnets()[static_cast<size_t>(tc.second)].prefix.ToString()
+                    << " is only in the " << (in_model ? "model" : "rebuilt HARC");
+    }
+  }
+}
+
+TEST_F(PipelineTest, RebuiltHarcMatchesSolvedModels) {
   std::vector<Policy> policies = {
       Policy::AlwaysBlocked(s_, u_),
       Policy::AlwaysWaypoint(s_, t_),
       Policy::Reachability(s_, t_, 2),
   };
-  RepairOptions repair_options;
-  Result<RepairOutcome> outcome = ComputeRepair(cpr_->harc(), policies, repair_options);
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_EQ(outcome->status, RepairStatus::kSuccess);
-
-  Result<TranslationResult> translation = TranslateEdits(cpr_->network(), outcome->edits);
-  ASSERT_TRUE(translation.ok()) << (translation.ok() ? "" : translation.error().message());
-  Result<Network> rebuilt =
-      Network::Build(translation->patched_configs, translation->annotations);
-  ASSERT_TRUE(rebuilt.ok());
-  Harc rebuilt_harc = Harc::Build(*rebuilt);
-
-  ASSERT_EQ(rebuilt_harc.universe().EdgeCount(), cpr_->harc().universe().EdgeCount());
-  for (const Policy& policy : policies) {
-    const Etg& repaired = outcome->repaired.tcetg(policy.src, policy.dst);
-    const Etg& from_configs = rebuilt_harc.tcetg(policy.src, policy.dst);
-    for (CandidateEdgeId e = 0; e < rebuilt_harc.universe().EdgeCount(); ++e) {
-      EXPECT_EQ(repaired.IsPresent(e), from_configs.IsPresent(e))
-          << "edge " << e << " (" << cpr_->harc().universe().VertexName(
-                 cpr_->harc().universe().edge(e).from)
-          << " -> "
-          << cpr_->harc().universe().VertexName(cpr_->harc().universe().edge(e).to)
-          << ") differs for policy " << policy.ToString(cpr_->network());
-    }
-  }
+  ExpectRebuiltHarcMatchesModels(cpr_->network(), policies, RepairOptions{},
+                                 /*exact=*/true);
 }
+
+// The same check on broken fat-trees. PC3 is checked one way only: a
+// fat-tree core binds one ACL inbound on all of its interfaces, the encoder
+// has one variable per (traffic class, interface direction), and the
+// translator edits the ACL by name, so unblocking a traffic class on one
+// interface unblocks it on every interface bound to that ACL. The rebuilt
+// HARC then has edges no model predicted.
+struct FatTreeCase {
+  const char* name;
+  int ports;
+  PolicyClass pc;
+  int policies;
+  unsigned seed;
+  BackendChoice backend;
+  bool exact;
+};
+
+void PrintTo(const FatTreeCase& c, std::ostream* os) { *os << c.name; }
+
+class TranslatorExactnessTest : public ::testing::TestWithParam<FatTreeCase> {};
+
+TEST_P(TranslatorExactnessTest, RebuiltHarcMatchesSolvedModels) {
+  const FatTreeCase& c = GetParam();
+  FatTreeScenario scenario = MakeFatTreeScenario(c.ports, c.pc, c.policies, c.seed);
+  Result<Cpr> broken = Cpr::FromConfigTexts(scenario.broken_configs, scenario.annotations);
+  ASSERT_TRUE(broken.ok()) << broken.error().message();
+  RepairOptions options;
+  options.backend = c.backend;
+  ExpectRebuiltHarcMatchesModels(broken->network(), scenario.policies, options, c.exact);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FatTrees, TranslatorExactnessTest,
+    ::testing::Values(
+        FatTreeCase{"Pc1Seed7Z3", 4, PolicyClass::kAlwaysBlocked, 40, 7,
+                    BackendChoice::kZ3, true},
+        FatTreeCase{"Pc1Seed11Z3", 4, PolicyClass::kAlwaysBlocked, 40, 11,
+                    BackendChoice::kZ3, true},
+        FatTreeCase{"Pc1Seed7Internal", 4, PolicyClass::kAlwaysBlocked, 40, 7,
+                    BackendChoice::kInternal, true},
+        FatTreeCase{"Pc1Seed11Internal", 4, PolicyClass::kAlwaysBlocked, 40, 11,
+                    BackendChoice::kInternal, true},
+        FatTreeCase{"Pc2Seed7Z3", 4, PolicyClass::kAlwaysWaypoint, 40, 7,
+                    BackendChoice::kZ3, true},
+        FatTreeCase{"Pc2Seed11Z3", 4, PolicyClass::kAlwaysWaypoint, 40, 11,
+                    BackendChoice::kZ3, true},
+        FatTreeCase{"Pc2Seed7Internal", 4, PolicyClass::kAlwaysWaypoint, 40, 7,
+                    BackendChoice::kInternal, true},
+        FatTreeCase{"Pc2Seed11Internal", 4, PolicyClass::kAlwaysWaypoint, 40, 11,
+                    BackendChoice::kInternal, true},
+        FatTreeCase{"Pc3Ports4Internal", 4, PolicyClass::kReachability, 12, 7,
+                    BackendChoice::kInternal, false},
+        FatTreeCase{"Pc3Ports6Internal", 6, PolicyClass::kReachability, 32, 7,
+                    BackendChoice::kInternal, false}),
+    [](const ::testing::TestParamInfo<FatTreeCase>& info) { return info.param.name; });
 
 // Policy change scenario (§1): the operator newly requires S to be cut off
 // from T while R must keep reaching T — a per-traffic-class block that an

@@ -102,7 +102,7 @@ TEST_F(StatsJsonTest, CarriesStageSpansForThePipeline) {
   for (const char* stage : {
            "pipeline.parse_configs", "pipeline.build_network", "harc.build",
            "pipeline.repair", "repair.partition", "repair.encode", "repair.solve",
-           "repair.problem", "solver.internal", "pipeline.translate",
+           "repair.problem", "repair.merge", "solver.internal", "pipeline.translate",
            "pipeline.rebuild", "pipeline.reverify", "verify.find_violations",
        }) {
     EXPECT_NE(json.find(std::string("\"name\":\"") + stage + "\""), std::string::npos)
