@@ -100,6 +100,16 @@ for key in '"schema_version"' '"stages"' '"counters"' '"gauges"' \
     exit 1
   fi
 done
+# The order heap serves every decision of the internal engine: no decision
+# falls back to the linear scan.
+python3 - "$stats_json" <<'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+decisions = counters["cdcl.decisions"]
+assert decisions > 0, counters
+assert counters["cdcl.heap_picks"] == decisions, counters
+assert counters["cdcl.fallback_picks"] == 0, counters
+EOF
 echo "stats smoke OK ($(wc -c < "$stats_json") bytes)"
 
 echo "== cpr explain smoke =="

@@ -20,6 +20,7 @@ thread_local ThreadState tls_state;
 std::atomic<uint64_t> g_generation{0};
 
 thread_local Trace* tls_trace = nullptr;
+thread_local int32_t tls_parent = -1;  // The active TraceScope's parent.
 
 }  // namespace
 
@@ -30,9 +31,16 @@ Trace& Trace::Global() {
 
 Trace& CurrentTrace() { return tls_trace != nullptr ? *tls_trace : Trace::Global(); }
 
-TraceScope::TraceScope(Trace* trace) : previous_(tls_trace) { tls_trace = trace; }
+TraceScope::TraceScope(Trace* trace, int32_t parent)
+    : previous_(tls_trace), previous_parent_(tls_parent) {
+  tls_trace = trace;
+  tls_parent = parent;
+}
 
-TraceScope::~TraceScope() { tls_trace = previous_; }
+TraceScope::~TraceScope() {
+  tls_trace = previous_;
+  tls_parent = previous_parent_;
+}
 
 void Trace::Enable() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -64,7 +72,7 @@ int32_t Trace::BeginSpan(std::string_view name) {
   }
   SpanRecord record;
   record.name = std::string(name);
-  record.parent = state.open.empty() ? -1 : state.open.back();
+  record.parent = state.open.empty() ? tls_parent : state.open.back();
   record.thread = state.thread_index;
   record.start_seconds = std::chrono::duration<double>(now - origin_).count();
   records_.push_back(std::move(record));

@@ -12,9 +12,12 @@
 //   obs::StageSpan span("repair.encode");
 //   ... encode ...            // duration recorded when `span` destructs
 //
-// Worker-thread spans parent correctly within their own thread; a thread's
-// first span is a root (parent == -1). Span records are only appended, so
-// indices are stable identifiers within one enabled trace.
+// Spans parent within their own thread. A span opened on a thread with no
+// open span takes the parent of the thread's TraceScope — the spawning
+// stage's StageSpan::index(), so worker spans nest under the stage that fed
+// them — and is a root (parent == -1) when the scope names none. Span
+// records are only appended, so indices are stable identifiers within one
+// enabled trace.
 
 #ifndef CPR_SRC_OBS_SPAN_H_
 #define CPR_SRC_OBS_SPAN_H_
@@ -82,16 +85,19 @@ class Trace {
 Trace& CurrentTrace();
 
 // RAII: routes CurrentTrace() on this thread to `trace` (nullptr restores
-// Global()). Scopes nest; each restores the previous binding.
+// Global()). `parent`, a span index in `trace`, becomes the parent of every
+// span this thread opens while its own span stack is empty (-1: roots).
+// Scopes nest; each restores the previous binding.
 class TraceScope {
  public:
-  explicit TraceScope(Trace* trace);
+  explicit TraceScope(Trace* trace, int32_t parent = -1);
   ~TraceScope();
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
 
  private:
   Trace* previous_;
+  int32_t previous_parent_;
 };
 
 class StageSpan {
@@ -114,6 +120,10 @@ class StageSpan {
       trace_->Annotate(index_, key, value);
     }
   }
+
+  // This span's record index in its trace, or -1 while the trace is
+  // disabled. Hand it to a worker's TraceScope to parent the worker's spans.
+  int32_t index() const { return index_; }
 
   StageSpan(const StageSpan&) = delete;
   StageSpan& operator=(const StageSpan&) = delete;

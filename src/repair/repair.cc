@@ -348,7 +348,7 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
         options.solve_runner->Submit([&, i]() {
           {
             obs::RegistryScope registry_scope(request_registry);
-            obs::TraceScope trace_scope(request_trace);
+            obs::TraceScope trace_scope(request_trace, solve_span.index());
             std::unique_ptr<MaxSmtBackend> backend = MakeWorkerBackend(options, deadline);
             solve_one(i, backend.get());
           }
@@ -378,7 +378,7 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
       std::atomic<size_t> next{0};
       auto worker = [&]() {
         obs::RegistryScope registry_scope(request_registry);
-        obs::TraceScope trace_scope(request_trace);
+        obs::TraceScope trace_scope(request_trace, solve_span.index());
         std::unique_ptr<MaxSmtBackend> backend = MakeWorkerBackend(options, deadline);
         while (true) {
           size_t slot = next.fetch_add(1);

@@ -44,9 +44,8 @@ BoolVar SatSolver::NewVar() {
   model_.push_back(LBool::kUndef);
   watches_.emplace_back();
   watches_.emplace_back();
-  heap_stamp_.push_back(0);
-  order_heap_.push_back({0.0, 0, var});
-  std::push_heap(order_heap_.begin(), order_heap_.end());
+  heap_index_.push_back(-1);
+  HeapInsert(var);
   return var;
 }
 
@@ -177,17 +176,79 @@ void SatSolver::BumpVar(BoolVar var) {
       a *= 1.0 / kRescaleThreshold;
     }
     var_inc_ *= 1.0 / kRescaleThreshold;
-    // Rescale the keys already in the heap by the same factor: uniform
-    // positive scaling preserves the heap order, and entries stay valid
-    // (staleness is tracked by stamps, so the rescale cannot silently drain
-    // the heap into the O(V) linear fallback).
-    for (HeapEntry& entry : order_heap_) {
-      entry.activity *= 1.0 / kRescaleThreshold;
+    // Underflow can turn distinct activities into ties, which the index
+    // tie-break orders differently, so rebuild rather than trust the old
+    // order (O(n); rescales are rare).
+    for (size_t i = heap_.size() / 2; i-- > 0;) {
+      HeapSiftDown(i);
     }
     ++stats_.activity_rescales;
+  } else if (heap_index_[v] >= 0) {
+    HeapSiftUp(static_cast<size_t>(heap_index_[v]));
   }
-  order_heap_.push_back({activity_[v], ++heap_stamp_[v], var});
-  std::push_heap(order_heap_.begin(), order_heap_.end());
+}
+
+// Heap order: higher activity first, ties to the lower variable index, so
+// decisions depend only on the instance.
+bool SatSolver::HeapBefore(BoolVar a, BoolVar b) const {
+  double activity_a = activity_[static_cast<size_t>(a)];
+  double activity_b = activity_[static_cast<size_t>(b)];
+  return activity_a > activity_b || (activity_a == activity_b && a < b);
+}
+
+void SatSolver::HeapInsert(BoolVar var) {
+  size_t v = static_cast<size_t>(var);
+  if (heap_index_[v] >= 0) {
+    return;
+  }
+  heap_index_[v] = static_cast<int>(heap_.size());
+  heap_.push_back(var);
+  HeapSiftUp(heap_.size() - 1);
+}
+
+void SatSolver::HeapSiftUp(size_t pos) {
+  BoolVar var = heap_[pos];
+  while (pos > 0) {
+    size_t parent = (pos - 1) / 2;
+    if (!HeapBefore(var, heap_[parent])) {
+      break;
+    }
+    heap_[pos] = heap_[parent];
+    heap_index_[static_cast<size_t>(heap_[pos])] = static_cast<int>(pos);
+    pos = parent;
+  }
+  heap_[pos] = var;
+  heap_index_[static_cast<size_t>(var)] = static_cast<int>(pos);
+}
+
+void SatSolver::HeapSiftDown(size_t pos) {
+  BoolVar var = heap_[pos];
+  while (2 * pos + 1 < heap_.size()) {
+    size_t child = 2 * pos + 1;
+    if (child + 1 < heap_.size() && HeapBefore(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!HeapBefore(heap_[child], var)) {
+      break;
+    }
+    heap_[pos] = heap_[child];
+    heap_index_[static_cast<size_t>(heap_[pos])] = static_cast<int>(pos);
+    pos = child;
+  }
+  heap_[pos] = var;
+  heap_index_[static_cast<size_t>(var)] = static_cast<int>(pos);
+}
+
+BoolVar SatSolver::HeapPop() {
+  BoolVar top = heap_.front();
+  heap_index_[static_cast<size_t>(top)] = -1;
+  BoolVar last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    heap_[0] = last;
+    HeapSiftDown(0);
+  }
+  return top;
 }
 
 void SatSolver::BumpClause(ClauseRef ref) {
@@ -345,10 +406,7 @@ void SatSolver::Backtrack(int target_level) {
     size_t v = static_cast<size_t>(trail_[i].var());
     assigns_[v] = LBool::kUndef;
     reason_[v] = kNoReason;
-    // Re-insert with the current stamp: the entry is as valid as the latest
-    // bump (duplicates are fine; PickBranchLit skips assigned variables).
-    order_heap_.push_back({activity_[v], heap_stamp_[v], trail_[i].var()});
-    std::push_heap(order_heap_.begin(), order_heap_.end());
+    HeapInsert(trail_[i].var());
   }
   trail_.resize(new_size);
   trail_limits_.resize(static_cast<size_t>(target_level));
@@ -356,24 +414,19 @@ void SatSolver::Backtrack(int target_level) {
 }
 
 Lit SatSolver::PickBranchLit() {
-  while (!order_heap_.empty()) {
-    std::pop_heap(order_heap_.begin(), order_heap_.end());
-    HeapEntry entry = order_heap_.back();
-    order_heap_.pop_back();
-    size_t v = static_cast<size_t>(entry.var);
-    if (entry.stamp != heap_stamp_[v]) {
-      continue;  // Superseded by a newer entry for the same variable.
-    }
+  while (!heap_.empty()) {
+    BoolVar var = HeapPop();
+    size_t v = static_cast<size_t>(var);
     if (assigns_[v] != LBool::kUndef) {
       continue;  // Assigned; Backtrack re-inserts it on unassignment.
     }
     ++stats_.heap_picks;
-    return Lit(entry.var, !saved_phase_[v]);
+    return Lit(var, !saved_phase_[v]);
   }
-  // Every unassigned variable always has a current-stamp heap entry (NewVar
-  // seeds one, Backtrack restores one), so this scan only runs when the
-  // instance is fully assigned — or if that invariant is ever broken, which
-  // fallback_picks makes visible.
+  // Every unassigned variable is in the heap (NewVar inserts it, Backtrack
+  // restores it), so this scan only runs when the instance is fully
+  // assigned — or if that invariant is ever broken, which fallback_picks
+  // makes visible.
   for (BoolVar var = 0; var < VarCount(); ++var) {
     if (assigns_[static_cast<size_t>(var)] == LBool::kUndef) {
       ++stats_.fallback_picks;

@@ -72,7 +72,7 @@ class SatSolver {
 
   // Test hook: seeds the VSIDS bump increment so an activity rescale can be
   // forced after a handful of conflicts instead of ~4500 (the natural decay
-  // rate). Used by the order-heap staleness regression test.
+  // rate). Used by the order-heap rescale regression test.
   void SetVarActivityIncrementForTest(double increment) { var_inc_ = increment; }
 
   // Attaches a proof log (smt/proof_log.h). While set, every AddClause input,
@@ -110,6 +110,11 @@ class SatSolver {
   void DecayActivities();
   void ReduceLearnts();
   void AttachClause(ClauseRef ref);
+  bool HeapBefore(BoolVar a, BoolVar b) const;
+  void HeapInsert(BoolVar var);
+  void HeapSiftUp(size_t pos);
+  void HeapSiftDown(size_t pos);
+  BoolVar HeapPop();
   int DecisionLevel() const { return static_cast<int>(trail_limits_.size()); }
 
   // Clause storage and watches.
@@ -126,29 +131,19 @@ class SatSolver {
   std::vector<int> trail_limits_;
   size_t propagate_head_ = 0;
 
-  // Decision heuristics. The order heap is lazy: BumpVar and Backtrack push
-  // fresh entries without removing superseded ones, and PickBranchLit
-  // discards entries whose stamp no longer matches heap_stamp_[var]. Stamps
-  // (not activity comparisons) detect staleness, so a global activity
-  // rescale — which changes every variable's activity at once — cannot
-  // invalidate the whole heap (it is rescaled in place instead, preserving
-  // the heap order).
-  struct HeapEntry {
-    double activity = 0;
-    uint32_t stamp = 0;
-    BoolVar var = 0;
-    bool operator<(const HeapEntry& other) const { return activity < other.activity; }
-  };
+  // Decision heuristics. The order heap is an indexed binary max-heap of
+  // variables (MiniSat's): heap_index_[v] is v's position in heap_, or -1
+  // when v is absent, so each variable appears at most once and a bump
+  // sifts it up in place. Every unassigned variable is in the heap: NewVar
+  // inserts it, PickBranchLit pops it, Backtrack re-inserts it.
   std::vector<double> activity_;
   double var_inc_ = 1.0;
   double clause_inc_ = 1.0;
-  std::vector<HeapEntry> order_heap_;       // Lazy max-heap.
-  std::vector<uint32_t> heap_stamp_;        // Latest valid stamp per variable.
+  std::vector<BoolVar> heap_;
+  std::vector<int> heap_index_;
 
   // Conflict analysis scratch.
   std::vector<uint8_t> seen_;
-  std::vector<Lit> analyze_stack_;
-  std::vector<Lit> analyze_clear_;
 
   bool unsat_ = false;
   ProofLog* log_ = nullptr;

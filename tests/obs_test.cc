@@ -248,6 +248,50 @@ TEST(SpanTest, ThreadsGetDistinctIndicesAndOwnRoots) {
   }
 }
 
+// A TraceScope's parent links a worker thread's spans to the span that
+// spawned the worker: the worker's first span takes it, spans nested under
+// that one parent within the thread, and a scope without a parent keeps
+// roots.
+TEST(SpanTest, TraceScopeParentsSpansOnAnotherThread) {
+  Trace trace;
+  trace.Enable();
+  {
+    TraceScope scope(&trace);
+    StageSpan stage("stage");
+    ASSERT_EQ(stage.index(), 0);
+    std::thread worker([&trace, parent = stage.index()] {
+      TraceScope worker_scope(&trace, parent);
+      StageSpan task("task");
+      StageSpan child("task.child");
+    });
+    worker.join();
+  }
+  std::thread unparented([&trace] {
+    TraceScope worker_scope(&trace);
+    StageSpan root("root");
+  });
+  unparented.join();
+  trace.Disable();
+  std::vector<SpanRecord> records = trace.Records();
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0].name, "stage");
+  EXPECT_EQ(records[0].parent, -1);
+  EXPECT_EQ(records[1].name, "task");
+  EXPECT_EQ(records[1].parent, 0);
+  EXPECT_NE(records[1].thread, records[0].thread);
+  EXPECT_EQ(records[2].name, "task.child");
+  EXPECT_EQ(records[2].parent, 1);
+  EXPECT_EQ(records[3].name, "root");
+  EXPECT_EQ(records[3].parent, -1);
+}
+
+TEST(SpanTest, DisabledSpanHasNoIndex) {
+  Trace trace;
+  TraceScope scope(&trace);
+  StageSpan span("ignored");
+  EXPECT_EQ(span.index(), -1);
+}
+
 // Chrome trace export: the span tree (with per-span args) must serialize
 // into a valid trace_event document carrying one "X" event per span plus
 // thread_name metadata.

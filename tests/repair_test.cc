@@ -5,13 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <numeric>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "config/parser.h"
 #include "obs/span.h"
+#include "repair/encoder.h"
 #include "repair/repair.h"
+#include "solver/backend.h"
 #include "tests/example_network.h"
 #include "tests/patched_harc.h"
 #include "verify/checker.h"
@@ -175,19 +182,26 @@ TEST(RepairPc4Test, InternalBackendRejectsPc4WithoutFailover) {
   EXPECT_EQ(outcome->stats.problem_reports[0].status, MaxSmtResult::Status::kUnsupported);
 }
 
+// The broken snapshot of a fat-tree scenario, parsed and built.
+Result<Network> BrokenNetwork(const FatTreeScenario& scenario) {
+  std::vector<Config> configs;
+  for (const std::string& text : scenario.broken_configs) {
+    Result<Config> config = ParseConfig(text);
+    if (!config.ok()) {
+      return config.error();
+    }
+    configs.push_back(*std::move(config));
+  }
+  return Network::Build(std::move(configs), scenario.annotations);
+}
+
 // A request's own solver workers take its per-destination problems largest
 // first, ties in problem order. Every PC3 policy adds one traffic class's
 // hard constraints to its destination's problem, so one worker must take the
 // problems in order of non-increasing policy count.
 TEST(RepairScheduleTest, SolvesLargestProblemsFirst) {
   FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kReachability, 12, 7);
-  std::vector<Config> configs;
-  for (const std::string& text : scenario.broken_configs) {
-    Result<Config> config = ParseConfig(text);
-    ASSERT_TRUE(config.ok()) << config.error().message();
-    configs.push_back(*std::move(config));
-  }
-  Result<Network> network = Network::Build(std::move(configs), scenario.annotations);
+  Result<Network> network = BrokenNetwork(scenario);
   ASSERT_TRUE(network.ok()) << network.error().message();
   Harc harc = Harc::Build(*network);
 
@@ -232,6 +246,152 @@ TEST(RepairScheduleTest, SolvesLargestProblemsFirst) {
   }
   EXPECT_EQ(solved, expected);
 }
+
+// Runs every submitted task on a thread of its own, joined on destruction:
+// the shared-executor path, with no problem on the submitting thread.
+class ThreadPerTaskRunner : public SolveTaskRunner {
+ public:
+  ThreadPerTaskRunner() = default;
+  ThreadPerTaskRunner(const ThreadPerTaskRunner&) = delete;
+  ThreadPerTaskRunner& operator=(const ThreadPerTaskRunner&) = delete;
+  ~ThreadPerTaskRunner() override {
+    for (std::thread& thread : threads_) {
+      thread.join();
+    }
+  }
+  void Submit(std::function<void()> task) override { threads_.emplace_back(std::move(task)); }
+
+ private:
+  std::vector<std::thread> threads_;
+};
+
+// Worker spans nest under the stage that spawned them: every repair.problem
+// span's parent is the repair.solve span, whether the problems run on the
+// calling thread, on the request's worker threads or on a shared executor.
+TEST(RepairSpanTest, ProblemSpansNestUnderSolve) {
+  FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kReachability, 12, 7);
+  Result<Network> network = BrokenNetwork(scenario);
+  ASSERT_TRUE(network.ok()) << network.error().message();
+  Harc harc = Harc::Build(*network);
+
+  struct Mode {
+    const char* name;
+    int threads;
+    bool executor;
+  };
+  for (const Mode& mode : {Mode{"one worker", 1, false}, Mode{"four workers", 4, false},
+                           Mode{"executor", 4, true}}) {
+    SCOPED_TRACE(mode.name);
+    RepairOptions options;
+    options.granularity = Granularity::kPerDst;
+    options.backend = BackendChoice::kInternal;
+    options.num_threads = mode.threads;
+    obs::Trace trace;  // Outlives the runner's threads, which join first.
+    ThreadPerTaskRunner runner;
+    if (mode.executor) {
+      options.solve_runner = &runner;
+    }
+    trace.Enable();
+    Result<RepairOutcome> outcome = [&] {
+      obs::TraceScope scope(&trace);
+      return ComputeRepair(harc, scenario.policies, options);
+    }();
+    ASSERT_TRUE(outcome.ok()) << outcome.error().message();
+    ASSERT_EQ(outcome->status, RepairStatus::kSuccess);
+
+    const std::vector<obs::SpanRecord> spans = trace.Records();
+    std::vector<int32_t> solves;
+    for (size_t i = 0; i < spans.size(); ++i) {
+      if (spans[i].name == "repair.solve") {
+        solves.push_back(static_cast<int32_t>(i));
+      }
+    }
+    ASSERT_EQ(solves.size(), 1u);
+    const obs::SpanRecord& solve = spans[static_cast<size_t>(solves[0])];
+    size_t problems = 0;
+    for (const obs::SpanRecord& span : spans) {
+      if (span.name != "repair.problem") {
+        continue;
+      }
+      ++problems;
+      EXPECT_EQ(span.parent, solves[0]);
+      // With more than one worker no problem runs on the calling thread, so
+      // the parent crosses threads.
+      if (options.num_threads > 1) {
+        EXPECT_NE(span.thread, solve.thread);
+      }
+    }
+    EXPECT_EQ(problems, outcome->stats.problem_reports.size());
+    EXPECT_GT(problems, 1u);
+  }
+}
+
+// The internal engine reaches Z3's optimum on the benchmark's fat-tree
+// shapes, far beyond the dozen-variable instances the brute-force
+// cross-checks cover, and its search is deterministic: a second solve of the
+// same system returns the same model after the same search.
+struct EngineCase {
+  const char* name;
+  int ports;
+  PolicyClass pc;
+  int policies;
+};
+
+void PrintTo(const EngineCase& c, std::ostream* os) { *os << c.name; }
+
+class FatTreeBackendAgreementTest : public ::testing::TestWithParam<EngineCase> {};
+
+TEST_P(FatTreeBackendAgreementTest, InternalReachesZ3OptimumDeterministically) {
+  const EngineCase& c = GetParam();
+  FatTreeScenario scenario = MakeFatTreeScenario(c.ports, c.pc, c.policies, 7);
+  Result<Network> network = BrokenNetwork(scenario);
+  ASSERT_TRUE(network.ok()) << network.error().message();
+  Harc harc = Harc::Build(*network);
+  RepairOptions options;
+  options.granularity = Granularity::kPerDst;
+  const std::vector<RepairProblem> problems =
+      PartitionProblems(harc, scenario.policies, options);
+  ASSERT_FALSE(problems.empty()) << "no policy is violated";
+
+  for (size_t i = 0; i < problems.size(); ++i) {
+    SCOPED_TRACE("problem " + std::to_string(i));
+    RepairEncoder encoder(harc, problems[i], options);
+    Status encoded = encoder.Encode();
+    ASSERT_TRUE(encoded.ok()) << encoded.error().message();
+    const MaxSmtResult internal =
+        MakeInternalBackend()->Solve(encoder.system(), /*timeout_seconds=*/0);
+    const MaxSmtResult z3 = MakeZ3Backend()->Solve(encoder.system(), /*timeout_seconds=*/0);
+    ASSERT_TRUE(internal.ok()) << MaxSmtStatusName(internal.status) << ": " << internal.message;
+    ASSERT_TRUE(z3.ok()) << MaxSmtStatusName(z3.status) << ": " << z3.message;
+    EXPECT_EQ(internal.cost, z3.cost);
+    // The order heap serves every decision: no variable goes missing from it.
+    const auto counter = [&](std::string_view name) {
+      for (const auto& [key, value] : internal.solver_counters) {
+        if (key == name) {
+          return value;
+        }
+      }
+      return -1.0;
+    };
+    EXPECT_GT(counter("cdcl.decisions"), 0);
+    EXPECT_EQ(counter("cdcl.heap_picks"), counter("cdcl.decisions"));
+    EXPECT_EQ(counter("cdcl.fallback_picks"), 0);
+
+    const MaxSmtResult again =
+        MakeInternalBackend()->Solve(encoder.system(), /*timeout_seconds=*/0);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.bool_values, internal.bool_values);
+    EXPECT_EQ(again.solver_counters, internal.solver_counters);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FatTrees, FatTreeBackendAgreementTest,
+    ::testing::Values(EngineCase{"Pc1Ports4", 4, PolicyClass::kAlwaysBlocked, 40},
+                      EngineCase{"Pc2Ports4", 4, PolicyClass::kAlwaysWaypoint, 40},
+                      EngineCase{"Pc3Ports4", 4, PolicyClass::kReachability, 12},
+                      EngineCase{"Pc3Ports6", 6, PolicyClass::kReachability, 32}),
+    [](const ::testing::TestParamInfo<EngineCase>& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace cpr

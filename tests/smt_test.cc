@@ -8,8 +8,10 @@
 #include <random>
 #include <vector>
 
+#include "certify/rup.h"
 #include "smt/cardinality.h"
 #include "smt/maxsat.h"
+#include "smt/proof_log.h"
 #include "smt/sat_solver.h"
 
 namespace cpr {
@@ -380,11 +382,10 @@ std::vector<Clause> PigeonholeCnf(SatSolver* solver, int holes) {
   return cnf;
 }
 
-// Regression for the VSIDS order-heap staleness bug: a rescale used to
-// change every activity_[v] out from under the heap's recorded keys, so the
-// float-equality staleness check discarded the whole heap and every decision
-// fell back to an O(V) linear scan. With stamp-based staleness plus in-place
-// key rescaling, the heap must keep serving decisions across rescales.
+// Regression for VSIDS activity rescales: a rescale changes every
+// activity_[v] at once (and underflow can turn distinct activities into
+// ties), so the indexed order heap is rebuilt; it must keep serving every
+// decision across rescales instead of degrading to the O(V) linear scan.
 TEST(SatSolverTest, OrderHeapSurvivesActivityRescale) {
   SatSolver solver;
   // A near-threshold increment forces a rescale within a few conflicts
@@ -398,8 +399,8 @@ TEST(SatSolverTest, OrderHeapSurvivesActivityRescale) {
   ASSERT_GE(stats.activity_rescales, 1) << "test did not exercise a rescale";
   EXPECT_GT(stats.decisions, 0);
   EXPECT_GT(stats.heap_picks, 0);
-  // The invariant the fix establishes: every unassigned variable always has
-  // a current-stamp heap entry, so the linear-scan fallback never fires.
+  // The heap invariant: every unassigned variable is in the order heap, so
+  // the linear-scan fallback never fires.
   EXPECT_EQ(stats.fallback_picks, 0);
   EXPECT_EQ(stats.heap_picks, stats.decisions);
 }
@@ -416,6 +417,32 @@ TEST(SatSolverTest, OrderHeapServesAllDecisionsWithoutRescale) {
   EXPECT_EQ(stats.activity_rescales, 0);
   EXPECT_GT(stats.heap_picks, 0);
   EXPECT_EQ(stats.fallback_picks, 0);
+}
+
+// Pigeonhole 8-into-7 runs past the 4000-learnt cap, so ReduceLearnts drops
+// clauses and logs their deletions. The whole log — inputs, learnt lemmas,
+// deletions and the final empty clause — must replay through the
+// independent RUP checker to a proof of UNSAT.
+TEST(SatSolverTest, ReducedLearntsProofReplaysThroughRupChecker) {
+  SatSolver solver;
+  ProofLog log;
+  solver.SetProofLog(&log);
+  for (const Clause& clause : PigeonholeCnf(&solver, 7)) {
+    ASSERT_TRUE(solver.AddClause(clause));
+  }
+  ASSERT_EQ(solver.Solve(), SatResult::kUnsat);
+  EXPECT_GT(solver.stats().learnt_deleted, 0);
+
+  const ProofStream& events = log.stream();
+  size_t deletions = 0;
+  certify::RupChecker checker;
+  for (size_t i = 0; i < events.size(); ++i) {
+    deletions += events.kind(i) == ProofEventKind::kDelete ? 1 : 0;
+    ASSERT_TRUE(checker.Apply(events.kind(i), events.lits(i)))
+        << "event " << i << ": " << checker.error();
+  }
+  EXPECT_EQ(static_cast<int64_t>(deletions), solver.stats().learnt_deleted);
+  EXPECT_TRUE(checker.proven_unsat());
 }
 
 // Learnt-literal accounting: any conflicting run must record at least one
