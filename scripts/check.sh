@@ -135,32 +135,49 @@ rm -f "$explain_json"
 echo "explain smoke OK"
 
 echo "== certify smoke (repair with proofs, then audit offline) =="
-certify_dir="$(mktemp -d /tmp/cpr-certify-XXXXXX)"
-certify_stats="$certify_dir/stats.json"
-build/tools/cpr repair examples/data/paper-example \
-  examples/data/paper-example-boolean.policies \
-  --backend internal --certify on --certify-dir "$certify_dir/artifacts" \
-  --stats-json "$certify_stats" > "$certify_dir/repair.log"
-build/tools/cpr_json_validate "$certify_stats"
-grep -q 'certify (on): .* 0 failed' "$certify_dir/repair.log" || {
-  echo "certify smoke FAILED: inline check reported failures" >&2
-  cat "$certify_dir/repair.log" >&2
-  exit 1
-}
-python3 - "$certify_stats" <<'EOF'
+# certify_smoke <config-dir> <policy-file> [repair flags...]: repairs on the
+# internal engine with every claim checked inline and persisted, then
+# re-verifies the artifacts offline.
+certify_smoke() {
+  local certify_dir certify_stats artifact
+  certify_dir="$(mktemp -d /tmp/cpr-certify-XXXXXX)"
+  certify_stats="$certify_dir/stats.json"
+  build/tools/cpr repair "$1" "$2" "${@:3}" \
+    --backend internal --certify on --certify-dir "$certify_dir/artifacts" \
+    --stats-json "$certify_stats" > "$certify_dir/repair.log"
+  build/tools/cpr_json_validate "$certify_stats"
+  grep -q 'certify (on): .* 0 failed' "$certify_dir/repair.log" || {
+    echo "certify smoke FAILED on $1: inline check reported failures" >&2
+    cat "$certify_dir/repair.log" >&2
+    exit 1
+  }
+  python3 - "$certify_stats" <<'EOF'
 import json, sys
 s = json.load(open(sys.argv[1]))["certify"]
 assert s["checked"] > 0 and s["verified"] == s["checked"], s
 assert s["failed"] == 0, s
 assert s["artifacts"] > 0, s
 EOF
-# Every persisted proof artifact must be well-formed JSON and must re-verify
-# offline, solver long gone — that is the whole point of the subsystem.
-for artifact in "$certify_dir"/artifacts/*.cert.json; do
-  build/tools/cpr_json_validate "$artifact"
-done
-build/tools/cpr certify "$certify_dir/artifacts" | grep -q ', 0 failed'
-rm -rf "$certify_dir"
+  # Every persisted proof artifact must be well-formed JSON and must
+  # re-verify offline, solver long gone — that is the whole point of the
+  # subsystem.
+  for artifact in "$certify_dir"/artifacts/*.cert.json; do
+    build/tools/cpr_json_validate "$artifact"
+  done
+  build/tools/cpr certify "$certify_dir/artifacts" | grep -q ', 0 failed'
+  rm -rf "$certify_dir"
+}
+certify_smoke examples/data/paper-example examples/data/paper-example-boolean.policies
+# A PC3 fat-tree: its hard constraints are disjunctions the internal engine
+# asserts as direct clauses, which the inline check replays event for event.
+# --no-simulate: the uncompressed PC3 repair is unsound under simulation
+# (the mid-path ACL gap, DESIGN.md §4a), which would fail the run for a
+# reason unrelated to certification.
+certify_net="$(mktemp -d /tmp/cpr-certify-net-XXXXXX)"
+build/tools/cpr gen "$certify_net/configs" --fattree 4 --broken --pc pc3 \
+  --policies 12 --seed 7 --policy-out "$certify_net/policies" >/dev/null
+certify_smoke "$certify_net/configs" "$certify_net/policies" --no-simulate
+rm -rf "$certify_net"
 echo "certify smoke OK"
 
 echo "== --trace-out smoke =="
@@ -441,7 +458,7 @@ cmake -B build-asan -S . -DCPR_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$jobs"
 # Leak detection is off: Z3 keeps global state alive at exit.
 ASAN_OPTIONS=detect_leaks=0 ctest --test-dir build-asan --output-on-failure \
-  -j "$jobs" -R 'Robust|Repair|Pipeline|TranslatorExactness|Workload|Simulat|Solver|Smt|Sat|MaxSat|Failover|FaultInjection|Backend|Obs|Counter|Gauge|Histogram|Registry|Span|Json|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|DirtySet|PrepareHarc|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
+  -j "$jobs" -R 'Robust|Repair|Pipeline|TranslatorExactness|Workload|Simulat|Solver|ConstraintSystem|Tseitin|Smt|Sat|MaxSat|Failover|FaultInjection|Backend|Obs|Counter|Gauge|Histogram|Registry|Span|Json|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|DirtySet|PrepareHarc|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
 
 echo "== TSan configuration =="
 cmake -B build-tsan -S . -DCPR_TSAN=ON >/dev/null

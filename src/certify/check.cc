@@ -359,11 +359,9 @@ CheckResult VerifyEncodingBaseline(const ConstraintSystem& system,
   mirror.SetProofLog(&mirror_log);
   Tseitin<MaxSatSolver> tseitin(&mirror, system);
   for (ExprId hard : system.hard()) {
-    std::optional<Lit> lit = tseitin.Encode(hard);
-    if (!lit.has_value()) {
+    if (!tseitin.AssertHard(hard)) {
       return Fail("hard constraint not boolean-encodable in replay");
     }
-    mirror.AddHard({*lit});
   }
   std::vector<Lit> soft_lits;
   soft_lits.reserve(system.soft().size());

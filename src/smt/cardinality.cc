@@ -28,7 +28,7 @@ void AddAtMostOne(SatSolver* solver, const std::vector<Lit>& lits) {
 }
 
 void AddAtLeastOne(SatSolver* solver, const std::vector<Lit>& lits) {
-  solver->AddClause(Clause(lits.begin(), lits.end()));
+  solver->AddClause(lits);
 }
 
 void AddExactlyOne(SatSolver* solver, const std::vector<Lit>& lits) {

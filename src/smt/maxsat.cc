@@ -9,8 +9,8 @@
 
 namespace cpr {
 
-void MaxSatSolver::AddHard(Clause clause) {
-  if (!sat_.AddClause(std::move(clause))) {
+void MaxSatSolver::AddHard(std::span<const Lit> clause) {
+  if (!sat_.AddClause(clause)) {
     hard_unsat_ = true;
   }
 }
@@ -22,9 +22,9 @@ Lit MaxSatSolver::MakeSelector(const Clause& clause) {
     return clause[0];
   }
   BoolVar selector = sat_.NewVar();
-  Clause guarded = clause;
-  guarded.push_back(Lit(selector, true));  // selector -> clause
-  sat_.AddClause(std::move(guarded));
+  guarded_.assign(clause.begin(), clause.end());
+  guarded_.push_back(Lit(selector, true));  // selector -> clause
+  sat_.AddClause(guarded_);
   return Lit(selector, false);
 }
 

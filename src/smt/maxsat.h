@@ -17,7 +17,9 @@
 #define CPR_SRC_SMT_MAXSAT_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "smt/certificate.h"
@@ -35,7 +37,10 @@ class MaxSatSolver {
   BoolVar NewVar() { return sat_.NewVar(); }
   int VarCount() const { return sat_.VarCount(); }
 
-  void AddHard(Clause clause);
+  void AddHard(std::span<const Lit> clause);
+  void AddHard(std::initializer_list<Lit> clause) {
+    AddHard(std::span<const Lit>(clause.begin(), clause.size()));
+  }
   // Soft clauses carry positive weights; satisfying one earns its weight.
   void AddSoft(Clause clause, int64_t weight);
 
@@ -88,6 +93,7 @@ class MaxSatSolver {
   Lit MakeSelector(const Clause& clause);
 
   SatSolver sat_;
+  std::vector<Lit> guarded_;  // MakeSelector's scratch clause.
   std::vector<Soft> softs_;
   bool hard_unsat_ = false;
   bool timed_out_ = false;

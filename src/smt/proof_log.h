@@ -103,9 +103,9 @@ class ProofStream {
 
 class ProofLog {
  public:
-  void Input(const Clause& clause) { stream_.Append(ProofEventKind::kInput, clause); }
-  void Lemma(const Clause& clause) { stream_.Append(ProofEventKind::kLemma, clause); }
-  void Delete(const Clause& clause) { stream_.Append(ProofEventKind::kDelete, clause); }
+  void Input(std::span<const Lit> clause) { stream_.Append(ProofEventKind::kInput, clause); }
+  void Lemma(std::span<const Lit> clause) { stream_.Append(ProofEventKind::kLemma, clause); }
+  void Delete(std::span<const Lit> clause) { stream_.Append(ProofEventKind::kDelete, clause); }
 
   // The empty clause: the solver's claim that the database is UNSAT.
   void EmptyLemma() { stream_.Append(ProofEventKind::kLemma, {}); }

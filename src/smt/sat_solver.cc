@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 namespace cpr {
 
@@ -12,6 +13,11 @@ constexpr double kVarDecay = 0.95;
 constexpr double kClauseDecay = 0.999;
 constexpr double kRescaleThreshold = 1e100;
 constexpr int kRestartBase = 100;
+// The arena is compacted once deleted clauses hold this share of its words.
+constexpr double kGarbageShare = 0.2;
+
+Lit WordLit(uint32_t word) { return Lit::FromCode(static_cast<int32_t>(word)); }
+uint32_t LitWord(Lit lit) { return static_cast<uint32_t>(lit.code()); }
 
 // Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
 int64_t Luby(int64_t i) {
@@ -49,7 +55,7 @@ BoolVar SatSolver::NewVar() {
   return var;
 }
 
-bool SatSolver::AddClause(Clause clause) {
+bool SatSolver::AddClause(std::span<const Lit> clause) {
   assert(DecisionLevel() == 0);
   // Log the clause exactly as the caller stated it, before simplification:
   // the proof's input inventory must be what was asserted, not what survived
@@ -63,19 +69,23 @@ bool SatSolver::AddClause(Clause clause) {
   }
   // Level-0 simplification: drop false/duplicate literals, detect satisfied
   // clauses and tautologies.
-  std::sort(clause.begin(), clause.end());
-  Clause simplified;
+  std::vector<Lit>& simplified = add_buffer_;
+  simplified.assign(clause.begin(), clause.end());
+  std::sort(simplified.begin(), simplified.end());
+  size_t keep = 0;
   Lit prev = kUndefLit;
-  for (Lit lit : clause) {
+  for (size_t i = 0; i < simplified.size(); ++i) {
+    Lit lit = simplified[i];
     if (Value(lit) == LBool::kTrue || lit == ~prev) {
       return true;  // Satisfied or tautological.
     }
     if (Value(lit) == LBool::kFalse || lit == prev) {
       continue;
     }
-    simplified.push_back(lit);
+    simplified[keep++] = lit;
     prev = lit;
   }
+  simplified.resize(keep);
   if (simplified.empty()) {
     unsat_ = true;
     if (log_ != nullptr) {
@@ -94,16 +104,49 @@ bool SatSolver::AddClause(Clause clause) {
     }
     return true;
   }
-  ClauseRef ref = static_cast<ClauseRef>(clauses_.size());
-  clauses_.push_back(ClauseData{std::move(simplified), false, 0.0, false});
-  AttachClause(ref);
+  AllocClause(simplified, /*learnt=*/false);
   return true;
 }
 
-void SatSolver::AttachClause(ClauseRef ref) {
-  const ClauseData& data = clauses_[static_cast<size_t>(ref)];
-  watches_[static_cast<size_t>(data.lits[0].code())].push_back(ref);
-  watches_[static_cast<size_t>(data.lits[1].code())].push_back(ref);
+SatSolver::ClauseRef SatSolver::AllocClause(std::span<const Lit> lits, bool learnt) {
+  assert(lits.size() >= 2);
+  ClauseRef ref = static_cast<ClauseRef>(arena_.size());
+  arena_.push_back(static_cast<uint32_t>(lits.size()) << kSizeShift |
+                   (learnt ? kLearntBit : 0));
+  for (Lit lit : lits) {
+    arena_.push_back(LitWord(lit));
+  }
+  if (learnt) {
+    arena_.resize(arena_.size() + kActivityWords);
+    SetActivity(ref, clause_inc_);
+    learnts_.push_back(ref);
+  } else {
+    ++problem_clauses_;
+  }
+  assert(arena_.size() < kNoReason);
+  watches_[LitWord(lits[0])].push_back(ref);
+  watches_[LitWord(lits[1])].push_back(ref);
+  return ref;
+}
+
+static_assert(sizeof(double) == 2 * sizeof(uint32_t));
+
+double SatSolver::Activity(ClauseRef ref) const {
+  double activity = 0.0;
+  std::memcpy(&activity, &arena_[ref + 1 + ClauseSize(ref)], sizeof activity);
+  return activity;
+}
+
+void SatSolver::SetActivity(ClauseRef ref, double activity) {
+  std::memcpy(&arena_[ref + 1 + ClauseSize(ref)], &activity, sizeof activity);
+}
+
+std::span<const Lit> SatSolver::ClauseLits(ClauseRef ref) {
+  clause_buffer_.clear();
+  for (uint32_t i = 0; i < ClauseSize(ref); ++i) {
+    clause_buffer_.push_back(ClauseLit(ref, i));
+  }
+  return clause_buffer_;
 }
 
 void SatSolver::Enqueue(Lit lit, ClauseRef reason) {
@@ -121,29 +164,32 @@ SatSolver::ClauseRef SatSolver::Propagate() {
     Lit p = trail_[propagate_head_++];
     ++stats_.propagations;
     // Clauses watching ~p may have become unit or false.
-    std::vector<ClauseRef>& watch_list = watches_[static_cast<size_t>((~p).code())];
+    const uint32_t false_word = LitWord(~p);
+    std::vector<ClauseRef>& watch_list = watches_[false_word];
     size_t keep = 0;
     for (size_t i = 0; i < watch_list.size(); ++i) {
       ClauseRef ref = watch_list[i];
-      ClauseData& data = clauses_[static_cast<size_t>(ref)];
-      if (data.deleted) {
+      const uint32_t header = arena_[ref];
+      if ((header & kDeletedBit) != 0) {
         continue;  // Dropped by ReduceLearnts; unhook lazily.
       }
-      Clause& lits = data.lits;
+      uint32_t* lits = arena_.data() + ref + 1;
+      const uint32_t size = header >> kSizeShift;
       // Normalize: the falsified watch sits at lits[1].
-      if (lits[0] == ~p) {
+      if (lits[0] == false_word) {
         std::swap(lits[0], lits[1]);
       }
-      if (Value(lits[0]) == LBool::kTrue) {
+      const Lit first = WordLit(lits[0]);
+      if (Value(first) == LBool::kTrue) {
         watch_list[keep++] = ref;
         continue;
       }
       // Look for a replacement watch.
       bool moved = false;
-      for (size_t j = 2; j < lits.size(); ++j) {
-        if (Value(lits[j]) != LBool::kFalse) {
+      for (uint32_t j = 2; j < size; ++j) {
+        if (Value(WordLit(lits[j])) != LBool::kFalse) {
           std::swap(lits[1], lits[j]);
-          watches_[static_cast<size_t>(lits[1].code())].push_back(ref);
+          watches_[lits[1]].push_back(ref);
           moved = true;
           break;
         }
@@ -152,7 +198,7 @@ SatSolver::ClauseRef SatSolver::Propagate() {
         continue;
       }
       watch_list[keep++] = ref;
-      if (Value(lits[0]) == LBool::kFalse) {
+      if (Value(first) == LBool::kFalse) {
         // Conflict: restore remaining watches and report.
         for (size_t j = i + 1; j < watch_list.size(); ++j) {
           watch_list[keep++] = watch_list[j];
@@ -161,7 +207,7 @@ SatSolver::ClauseRef SatSolver::Propagate() {
         propagate_head_ = trail_.size();
         return ref;
       }
-      Enqueue(lits[0], ref);
+      Enqueue(first, ref);
     }
     watch_list.resize(keep);
   }
@@ -252,16 +298,14 @@ BoolVar SatSolver::HeapPop() {
 }
 
 void SatSolver::BumpClause(ClauseRef ref) {
-  ClauseData& data = clauses_[static_cast<size_t>(ref)];
-  if (!data.learnt) {
+  if (!IsLearnt(ref)) {
     return;
   }
-  data.activity += clause_inc_;
-  if (data.activity > kRescaleThreshold) {
-    for (ClauseData& c : clauses_) {
-      if (c.learnt) {
-        c.activity *= 1.0 / kRescaleThreshold;
-      }
+  double activity = Activity(ref) + clause_inc_;
+  SetActivity(ref, activity);
+  if (activity > kRescaleThreshold) {
+    for (ClauseRef learnt : learnts_) {
+      SetActivity(learnt, Activity(learnt) * (1.0 / kRescaleThreshold));
     }
     clause_inc_ *= 1.0 / kRescaleThreshold;
   }
@@ -272,9 +316,9 @@ void SatSolver::DecayActivities() {
   clause_inc_ /= kClauseDecay;
 }
 
-void SatSolver::Analyze(ClauseRef conflict, Clause* learnt, int* backtrack_level) {
-  learnt->clear();
-  learnt->push_back(kUndefLit);  // Placeholder for the asserting literal.
+void SatSolver::Analyze(ClauseRef conflict, int* backtrack_level) {
+  learnt_.clear();
+  learnt_.push_back(kUndefLit);  // Placeholder for the asserting literal.
   int counter = 0;
   Lit p = kUndefLit;
   size_t index = trail_.size();
@@ -282,9 +326,9 @@ void SatSolver::Analyze(ClauseRef conflict, Clause* learnt, int* backtrack_level
   ClauseRef reason = conflict;
   do {
     BumpClause(reason);
-    const Clause& lits = clauses_[static_cast<size_t>(reason)].lits;
-    for (size_t j = (p == kUndefLit ? 0 : 1); j < lits.size(); ++j) {
-      Lit q = lits[j];
+    const uint32_t size = ClauseSize(reason);
+    for (uint32_t j = (p == kUndefLit ? 0 : 1); j < size; ++j) {
+      Lit q = ClauseLit(reason, j);
       size_t v = static_cast<size_t>(q.var());
       if (seen_[v] == 0 && level_[v] > 0) {
         seen_[v] = 1;
@@ -292,7 +336,7 @@ void SatSolver::Analyze(ClauseRef conflict, Clause* learnt, int* backtrack_level
         if (level_[v] >= DecisionLevel()) {
           ++counter;
         } else {
-          learnt->push_back(q);
+          learnt_.push_back(q);
         }
       }
     }
@@ -306,21 +350,22 @@ void SatSolver::Analyze(ClauseRef conflict, Clause* learnt, int* backtrack_level
     reason = reason_[static_cast<size_t>(p.var())];
     --counter;
   } while (counter > 0);
-  (*learnt)[0] = ~p;
+  learnt_[0] = ~p;
 
   // Cheap self-subsumption minimization: drop a literal whose entire reason
-  // clause is already in the learnt clause.
-  Clause to_clear = *learnt;  // seen_ flags must be reset for dropped lits too.
+  // clause is already in the learnt clause. The seen_ flags of dropped
+  // literals must be reset too, so remember every literal first.
+  to_clear_.assign(learnt_.begin(), learnt_.end());
   size_t keep = 1;
-  for (size_t i = 1; i < learnt->size(); ++i) {
-    Lit lit = (*learnt)[i];
+  for (size_t i = 1; i < learnt_.size(); ++i) {
+    Lit lit = learnt_[i];
     ClauseRef r = reason_[static_cast<size_t>(lit.var())];
     bool redundant = false;
     if (r != kNoReason) {
       redundant = true;
-      const Clause& lits = clauses_[static_cast<size_t>(r)].lits;
-      for (size_t j = 1; j < lits.size(); ++j) {
-        size_t v = static_cast<size_t>(lits[j].var());
+      const uint32_t size = ClauseSize(r);
+      for (uint32_t j = 1; j < size; ++j) {
+        size_t v = static_cast<size_t>(ClauseLit(r, j).var());
         if (seen_[v] == 0 && level_[v] > 0) {
           redundant = false;
           break;
@@ -328,26 +373,26 @@ void SatSolver::Analyze(ClauseRef conflict, Clause* learnt, int* backtrack_level
       }
     }
     if (!redundant) {
-      (*learnt)[keep++] = lit;
+      learnt_[keep++] = lit;
     }
   }
-  learnt->resize(keep);
+  learnt_.resize(keep);
 
   // Compute the backtrack level and move its literal to position 1.
   *backtrack_level = 0;
-  if (learnt->size() > 1) {
+  if (learnt_.size() > 1) {
     size_t max_index = 1;
-    for (size_t i = 2; i < learnt->size(); ++i) {
-      if (level_[static_cast<size_t>((*learnt)[i].var())] >
-          level_[static_cast<size_t>((*learnt)[max_index].var())]) {
+    for (size_t i = 2; i < learnt_.size(); ++i) {
+      if (level_[static_cast<size_t>(learnt_[i].var())] >
+          level_[static_cast<size_t>(learnt_[max_index].var())]) {
         max_index = i;
       }
     }
-    std::swap((*learnt)[1], (*learnt)[max_index]);
-    *backtrack_level = level_[static_cast<size_t>((*learnt)[1].var())];
+    std::swap(learnt_[1], learnt_[max_index]);
+    *backtrack_level = level_[static_cast<size_t>(learnt_[1].var())];
   }
 
-  for (Lit lit : to_clear) {
+  for (Lit lit : to_clear_) {
     if (lit != kUndefLit) {
       seen_[static_cast<size_t>(lit.var())] = 0;
     }
@@ -373,10 +418,12 @@ void SatSolver::AnalyzeFinal(Lit failed, const std::vector<Lit>& assumptions) {
           core_.push_back(decision);
         }
       } else {
-        const Clause& lits = clauses_[static_cast<size_t>(reason_[v])].lits;
-        for (size_t j = 1; j < lits.size(); ++j) {
-          if (level_[static_cast<size_t>(lits[j].var())] > 0) {
-            seen[static_cast<size_t>(lits[j].var())] = 1;
+        const ClauseRef reason = reason_[v];
+        const uint32_t size = ClauseSize(reason);
+        for (uint32_t j = 1; j < size; ++j) {
+          BoolVar var = ClauseLit(reason, j).var();
+          if (level_[static_cast<size_t>(var)] > 0) {
+            seen[static_cast<size_t>(var)] = 1;
           }
         }
       }
@@ -388,12 +435,11 @@ void SatSolver::AnalyzeFinal(Lit failed, const std::vector<Lit>& assumptions) {
   // database: the reason chains walked above are exactly the unit
   // propagations that make it RUP-checkable, so log it as a lemma.
   if (log_ != nullptr) {
-    Clause core_clause;
-    core_clause.reserve(core_.size());
+    clause_buffer_.clear();
     for (Lit lit : core_) {
-      core_clause.push_back(~lit);
+      clause_buffer_.push_back(~lit);
     }
-    log_->Lemma(core_clause);
+    log_->Lemma(clause_buffer_);
   }
 }
 
@@ -437,36 +483,83 @@ Lit SatSolver::PickBranchLit() {
 }
 
 void SatSolver::ReduceLearnts() {
-  std::vector<ClauseRef> learnts;
-  for (ClauseRef ref = 0; ref < static_cast<ClauseRef>(clauses_.size()); ++ref) {
-    const ClauseData& data = clauses_[static_cast<size_t>(ref)];
-    if (data.learnt && !data.deleted && data.lits.size() > 2) {
-      learnts.push_back(ref);
-    }
-  }
-  std::sort(learnts.begin(), learnts.end(), [this](ClauseRef a, ClauseRef b) {
-    return clauses_[static_cast<size_t>(a)].activity <
-           clauses_[static_cast<size_t>(b)].activity;
+  ++stats_.learnt_reductions;
+  // Binary learnts are never deleted. Rank the others least active first,
+  // ties to the older clause so the order depends only on the search, and
+  // delete the first half of them.
+  auto binary = std::partition(learnts_.begin(), learnts_.end(),
+                               [this](ClauseRef ref) { return ClauseSize(ref) > 2; });
+  std::sort(learnts_.begin(), binary, [this](ClauseRef a, ClauseRef b) {
+    double activity_a = Activity(a);
+    double activity_b = Activity(b);
+    return activity_a < activity_b || (activity_a == activity_b && a < b);
   });
-  size_t to_delete = learnts.size() / 2;
-  for (size_t i = 0; i < to_delete; ++i) {
-    ClauseData& data = clauses_[static_cast<size_t>(learnts[i])];
+  const size_t to_delete = static_cast<size_t>(binary - learnts_.begin()) / 2;
+  size_t keep = 0;
+  for (size_t i = 0; i < learnts_.size(); ++i) {
+    ClauseRef ref = learnts_[i];
     // Never delete a clause that is currently a reason (locked).
-    Lit first = data.lits[0];
-    if (Value(first) == LBool::kTrue &&
-        reason_[static_cast<size_t>(first.var())] == learnts[i]) {
+    Lit first = ClauseLit(ref, 0);
+    bool locked = Value(first) == LBool::kTrue &&
+                  reason_[static_cast<size_t>(first.var())] == ref;
+    if (i >= to_delete || locked) {
+      learnts_[keep++] = ref;
       continue;
     }
     // Log with the literals as they are NOW (watch normalization reorders
     // them); the checker matches deletions by sorted content.
     if (log_ != nullptr) {
-      log_->Delete(data.lits);
+      log_->Delete(ClauseLits(ref));
     }
-    data.deleted = true;
-    data.lits.clear();
-    data.lits.shrink_to_fit();
+    arena_[ref] |= kDeletedBit;
+    garbage_words_ += 1 + ClauseSize(ref) + kActivityWords;
     ++stats_.learnt_deleted;
   }
+  learnts_.resize(keep);
+  if (static_cast<double>(garbage_words_) >
+      kGarbageShare * static_cast<double>(arena_.size())) {
+    CompactArena();
+  }
+}
+
+void SatSolver::CompactArena() {
+  std::vector<uint32_t> compacted;
+  compacted.reserve(arena_.size() - garbage_words_);
+  // Copy the live clauses down in arena order (so refs keep their relative
+  // order) and leave each one's new ref in its old first-literal word.
+  for (size_t ref = 0; ref < arena_.size();) {
+    const uint32_t header = arena_[ref];
+    const size_t words =
+        1 + (header >> kSizeShift) + ((header & kLearntBit) != 0 ? kActivityWords : 0);
+    if ((header & kDeletedBit) == 0) {
+      const uint32_t moved_to = static_cast<uint32_t>(compacted.size());
+      compacted.insert(compacted.end(), arena_.begin() + static_cast<ptrdiff_t>(ref),
+                       arena_.begin() + static_cast<ptrdiff_t>(ref + words));
+      arena_[ref + 1] = moved_to;
+    }
+    ref += words;
+  }
+  auto forward = [this](ClauseRef ref) { return arena_[ref + 1]; };
+  for (std::vector<ClauseRef>& watch_list : watches_) {
+    size_t keep = 0;
+    for (ClauseRef ref : watch_list) {
+      if (!IsDeleted(ref)) {
+        watch_list[keep++] = forward(ref);
+      }
+    }
+    watch_list.resize(keep);
+  }
+  // Reasons are locked, so none of them was deleted.
+  for (ClauseRef& reason : reason_) {
+    if (reason != kNoReason) {
+      reason = forward(reason);
+    }
+  }
+  for (ClauseRef& learnt : learnts_) {
+    learnt = forward(learnt);
+  }
+  arena_ = std::move(compacted);
+  garbage_words_ = 0;
 }
 
 SatResult SatSolver::Solve(const std::vector<Lit>& assumptions) {
@@ -485,8 +578,7 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions) {
 
   int64_t conflicts_until_restart = kRestartBase * Luby(stats_.restarts);
   int64_t conflicts_this_restart = 0;
-  int64_t max_learnts = std::max<int64_t>(4000, static_cast<int64_t>(clauses_.size()) / 2);
-  int64_t live_learnts = 0;
+  max_learnts_ = std::max({max_learnts_, kMinLearntCap, problem_clauses_ / 2});
 
   while (true) {
     // Cooperative deadline check. Every outer iteration is one
@@ -513,9 +605,9 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions) {
       // handled naturally because the learnt clause's asserting literal is
       // re-propagated after backtracking; if it contradicts an assumption,
       // the assumption re-push below detects it.
-      Clause learnt;
       int backtrack_level = 0;
-      Analyze(conflict, &learnt, &backtrack_level);
+      Analyze(conflict, &backtrack_level);
+      const std::vector<Lit>& learnt = learnt_;
       // First-UIP learnt clauses (including after the self-subsumption
       // minimization, which is itself a chain of trivial resolutions) are
       // RUP against the live database.
@@ -536,11 +628,14 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions) {
           Enqueue(learnt[0], kNoReason);
         }
       } else {
-        ClauseRef ref = static_cast<ClauseRef>(clauses_.size());
-        clauses_.push_back(ClauseData{std::move(learnt), true, clause_inc_, false});
-        AttachClause(ref);
-        ++live_learnts;
-        Enqueue(clauses_.back().lits[0], ref);
+        ClauseRef ref = AllocClause(learnt, /*learnt=*/true);
+        Enqueue(learnt[0], ref);
+        // The live count carries over from earlier Solve calls, so the cap
+        // bounds the whole database, not this call's share of it.
+        if (static_cast<int64_t>(learnts_.size()) > max_learnts_) {
+          ReduceLearnts();
+          max_learnts_ += max_learnts_ / 10;
+        }
       }
       DecayActivities();
       continue;
@@ -552,10 +647,6 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions) {
       conflicts_until_restart = kRestartBase * Luby(stats_.restarts);
       Backtrack(0);
       continue;
-    }
-    if (live_learnts - stats_.learnt_deleted > max_learnts) {
-      ReduceLearnts();
-      max_learnts += max_learnts / 10;
     }
 
     // Extend the trail: assumptions first, then heuristic decisions.

@@ -7,6 +7,10 @@
 // solving under assumptions with extraction of a failed-assumption core —
 // the primitive the core-guided MaxSAT engine (smt/maxsat.h) is built on.
 //
+// Clauses live in one flat arena (a word buffer; see the private section),
+// so neither adding nor learning a clause allocates a heap block of its
+// own.
+//
 // The paper solves its repair formulation with Z3; this solver exists so
 // the repository also ships a fully self-contained backend (see
 // solver/internal_backend.h) and an ablation comparing the two.
@@ -15,6 +19,8 @@
 #define CPR_SRC_SMT_SAT_SOLVER_H_
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "netbase/deadline.h"
@@ -33,6 +39,7 @@ struct SatStats {
   int64_t propagations = 0;
   int64_t restarts = 0;
   int64_t learnt_deleted = 0;
+  int64_t learnt_reductions = 0; // ReduceLearnts calls.
   int64_t learnt_literals = 0;   // Total literals across learnt clauses.
   int64_t activity_rescales = 0; // VSIDS activity rescale events.
   int64_t heap_picks = 0;        // Decisions served by the order heap.
@@ -50,7 +57,10 @@ class SatSolver {
   // Adds a clause. Empty clauses and clauses falsified at level 0 make the
   // instance trivially unsat. Returns false if the solver is already known
   // unsat.
-  bool AddClause(Clause clause);
+  bool AddClause(std::span<const Lit> clause);
+  bool AddClause(std::initializer_list<Lit> clause) {
+    return AddClause(std::span<const Lit>(clause.begin(), clause.size()));
+  }
   bool AddUnit(Lit lit) { return AddClause({lit}); }
   bool AddBinary(Lit a, Lit b) { return AddClause({a, b}); }
 
@@ -70,6 +80,13 @@ class SatSolver {
 
   const SatStats& stats() const { return stats_; }
 
+  // Live learnt clauses (deleted ones excluded), carried across Solve
+  // calls. ReduceLearnts keeps it at or under the reduction cap: the cap
+  // starts at max(kMinLearntCap, problem clauses / 2) and grows by a tenth
+  // after every reduction.
+  size_t LearntCount() const { return learnts_.size(); }
+  static constexpr int64_t kMinLearntCap = 4000;
+
   // Test hook: seeds the VSIDS bump increment so an activity rescale can be
   // forced after a handful of conflicts instead of ~4500 (the natural decay
   // rate). Used by the order-heap rescale regression test.
@@ -85,14 +102,33 @@ class SatSolver {
   void SetProofLog(ProofLog* log) { log_ = log; }
 
  private:
-  struct ClauseData {
-    Clause lits;
-    bool learnt = false;
-    double activity = 0.0;
-    bool deleted = false;
-  };
-  using ClauseRef = int32_t;
-  static constexpr ClauseRef kNoReason = -1;
+  // Clause arena. A clause is a header word followed by its literal codes
+  // (Lit::code(), at least two; units are assignments, not clauses); a
+  // learnt clause carries its activity, a double, in two more words after
+  // the literals. The header packs the size above the learnt and deleted
+  // flag bits. A ClauseRef is the header's offset in arena_. Deleted
+  // clauses stay in place, skipped and unhooked lazily, until their words
+  // pass a fifth of the arena; CompactArena then moves the live clauses
+  // down and rewrites watches, reasons and learnts_.
+  using ClauseRef = uint32_t;
+  static constexpr ClauseRef kNoReason = ~ClauseRef{0};
+  static constexpr uint32_t kLearntBit = 1;
+  static constexpr uint32_t kDeletedBit = 2;
+  static constexpr int kSizeShift = 2;
+  static constexpr uint32_t kActivityWords = 2;
+
+  uint32_t ClauseSize(ClauseRef ref) const { return arena_[ref] >> kSizeShift; }
+  bool IsLearnt(ClauseRef ref) const { return (arena_[ref] & kLearntBit) != 0; }
+  bool IsDeleted(ClauseRef ref) const { return (arena_[ref] & kDeletedBit) != 0; }
+  Lit ClauseLit(ClauseRef ref, uint32_t i) const {
+    return Lit::FromCode(static_cast<int32_t>(arena_[ref + 1 + i]));
+  }
+  double Activity(ClauseRef ref) const;
+  void SetActivity(ClauseRef ref, double activity);
+  // Appends a clause of two or more literals and watches its first two.
+  ClauseRef AllocClause(std::span<const Lit> lits, bool learnt);
+  // Copies a clause's literals into clause_buffer_ (for the proof log).
+  std::span<const Lit> ClauseLits(ClauseRef ref);
 
   LBool Value(Lit lit) const {
     LBool v = assigns_[static_cast<size_t>(lit.var())];
@@ -101,7 +137,8 @@ class SatSolver {
 
   void Enqueue(Lit lit, ClauseRef reason);
   ClauseRef Propagate();
-  void Analyze(ClauseRef conflict, Clause* learnt, int* backtrack_level);
+  // Derives the first-UIP clause into learnt_.
+  void Analyze(ClauseRef conflict, int* backtrack_level);
   void AnalyzeFinal(Lit failed, const std::vector<Lit>& assumptions);
   void Backtrack(int level);
   Lit PickBranchLit();
@@ -109,7 +146,7 @@ class SatSolver {
   void BumpClause(ClauseRef ref);
   void DecayActivities();
   void ReduceLearnts();
-  void AttachClause(ClauseRef ref);
+  void CompactArena();
   bool HeapBefore(BoolVar a, BoolVar b) const;
   void HeapInsert(BoolVar var);
   void HeapSiftUp(size_t pos);
@@ -118,7 +155,11 @@ class SatSolver {
   int DecisionLevel() const { return static_cast<int>(trail_limits_.size()); }
 
   // Clause storage and watches.
-  std::vector<ClauseData> clauses_;
+  std::vector<uint32_t> arena_;
+  std::vector<ClauseRef> learnts_;  // Live learnt clauses.
+  size_t garbage_words_ = 0;        // Words of deleted clauses in arena_.
+  int64_t problem_clauses_ = 0;     // Non-learnt clauses ever stored.
+  int64_t max_learnts_ = 0;         // Reduction cap; see LearntCount().
   std::vector<std::vector<ClauseRef>> watches_;  // Indexed by literal code.
 
   // Assignment state.
@@ -142,8 +183,14 @@ class SatSolver {
   std::vector<BoolVar> heap_;
   std::vector<int> heap_index_;
 
-  // Conflict analysis scratch.
+  // Scratch buffers, reused across calls: AddClause's simplified copy,
+  // Analyze's learnt clause and the literals whose seen_ flags it must
+  // clear, and clause copies for the proof log.
   std::vector<uint8_t> seen_;
+  std::vector<Lit> add_buffer_;
+  std::vector<Lit> learnt_;
+  std::vector<Lit> to_clear_;
+  std::vector<Lit> clause_buffer_;
 
   bool unsat_ = false;
   ProofLog* log_ = nullptr;

@@ -1,21 +1,43 @@
 #include "solver/constraint_system.h"
 
+#include <algorithm>
 #include <cassert>
+#include <functional>
 #include <utility>
 
 namespace cpr {
 
-ConstraintSystem::ConstraintSystem() {
-  ExprNode true_node;
-  true_node.kind = ExprKind::kTrue;
-  true_ = AddNode(std::move(true_node));
-  ExprNode false_node;
-  false_node.kind = ExprKind::kFalse;
-  false_ = AddNode(std::move(false_node));
+namespace {
+
+// Appends `src` to `pool`, where `src` may be a slice of `pool` itself.
+// Capacity is secured (geometrically, so appends stay amortized O(1))
+// before `src` is read, and an aliased `src` is re-pointed at the possibly
+// moved storage; the appends then cannot invalidate it.
+template <typename T>
+std::span<const T> SecureAppend(std::vector<T>* pool, std::span<const T> src) {
+  const T* data = pool->data();
+  const bool aliased = std::greater_equal<const T*>()(src.data(), data) &&
+                       std::less<const T*>()(src.data(), data + pool->size());
+  const size_t offset = aliased ? static_cast<size_t>(src.data() - data) : 0;
+  const size_t needed = pool->size() + src.size();
+  if (needed > pool->capacity()) {
+    pool->reserve(std::max(needed, 2 * pool->capacity()));
+  }
+  return aliased ? std::span<const T>(pool->data() + offset, src.size()) : src;
 }
 
-ExprId ConstraintSystem::AddNode(ExprNode node) {
-  nodes_.push_back(std::move(node));
+}  // namespace
+
+ConstraintSystem::ConstraintSystem() {
+  true_ = AddNode(ExprNode{ExprKind::kTrue});
+  false_ = AddNode(ExprNode{ExprKind::kFalse});
+  labels_.emplace_back();
+  label_ids_.emplace(std::string(), 0);
+}
+
+ExprId ConstraintSystem::AddNode(const ExprNode& node) {
+  nodes_.push_back(node);
+  not_exprs_.push_back(-1);
   return static_cast<ExprId>(nodes_.size() - 1);
 }
 
@@ -31,13 +53,21 @@ IVarId ConstraintSystem::NewInt(std::string name, int64_t lower, int64_t upper) 
   return static_cast<IVarId>(int_vars_.size() - 1);
 }
 
+uint32_t ConstraintSystem::InternLabel(const std::string& label) {
+  auto [it, inserted] = label_ids_.try_emplace(label, static_cast<uint32_t>(labels_.size()));
+  if (inserted) {
+    labels_.push_back(label);
+  }
+  return it->second;
+}
+
 ExprId ConstraintSystem::Var(BVarId var) {
   ExprId& memo = var_exprs_[static_cast<size_t>(var)];
   if (memo < 0) {
     ExprNode node;
     node.kind = ExprKind::kBoolVar;
     node.bool_var = var;
-    memo = AddNode(std::move(node));
+    memo = AddNode(node);
   }
   return memo;
 }
@@ -51,76 +81,65 @@ ExprId ConstraintSystem::Not(ExprId e) {
     return true_;
   }
   if (child.kind == ExprKind::kNot) {
-    return child.children[0];  // Double negation.
+    return children(e)[0];  // Double negation.
+  }
+  if (not_exprs_[static_cast<size_t>(e)] >= 0) {
+    return not_exprs_[static_cast<size_t>(e)];
   }
   ExprNode n;
   n.kind = ExprKind::kNot;
-  n.children = {e};
-  return AddNode(std::move(n));
+  n.begin = static_cast<uint32_t>(children_.size());
+  n.size = 1;
+  children_.push_back(e);
+  ExprId id = AddNode(n);
+  not_exprs_[static_cast<size_t>(e)] = id;
+  return id;
 }
 
-ExprId ConstraintSystem::And(std::vector<ExprId> children) {
-  std::vector<ExprId> flat;
-  for (ExprId c : children) {
-    if (c == false_) {
-      return false_;
+// And/Or with constant folding: the absorbing constant decides the node,
+// identities drop out, and one survivor stands for itself. Survivors are
+// folded straight into the children pool; a node is made only for two or
+// more.
+ExprId ConstraintSystem::Junction(ExprKind kind, std::span<const ExprId> operands) {
+  const ExprId absorbing = kind == ExprKind::kAnd ? false_ : true_;
+  const ExprId identity = kind == ExprKind::kAnd ? true_ : false_;
+  const size_t begin = children_.size();
+  for (ExprId c : SecureAppend(&children_, operands)) {
+    if (c == absorbing) {
+      children_.resize(begin);
+      return absorbing;
     }
-    if (c != true_) {
-      flat.push_back(c);
+    if (c != identity) {
+      children_.push_back(c);
     }
   }
-  if (flat.empty()) {
-    return true_;
-  }
-  if (flat.size() == 1) {
-    return flat[0];
+  const size_t size = children_.size() - begin;
+  if (size <= 1) {
+    ExprId only = size == 0 ? identity : children_[begin];
+    children_.resize(begin);
+    return only;
   }
   ExprNode n;
-  n.kind = ExprKind::kAnd;
-  n.children = std::move(flat);
-  return AddNode(std::move(n));
-}
-
-ExprId ConstraintSystem::Or(std::vector<ExprId> children) {
-  std::vector<ExprId> flat;
-  for (ExprId c : children) {
-    if (c == true_) {
-      return true_;
-    }
-    if (c != false_) {
-      flat.push_back(c);
-    }
-  }
-  if (flat.empty()) {
-    return false_;
-  }
-  if (flat.size() == 1) {
-    return flat[0];
-  }
-  ExprNode n;
-  n.kind = ExprKind::kOr;
-  n.children = std::move(flat);
-  return AddNode(std::move(n));
+  n.kind = kind;
+  n.begin = static_cast<uint32_t>(begin);
+  n.size = static_cast<uint32_t>(size);
+  return AddNode(n);
 }
 
 ExprId ConstraintSystem::Iff(ExprId a, ExprId b) {
   return And({Or({Not(a), b}), Or({Not(b), a})});
 }
 
-ExprId ConstraintSystem::LinearLe(std::vector<LinearTerm> terms, int64_t constant) {
+ExprId ConstraintSystem::LinearAtom(ExprKind kind, std::span<const LinearTerm> terms,
+                                    int64_t constant) {
   ExprNode n;
-  n.kind = ExprKind::kLinearLe;
-  n.terms = std::move(terms);
+  n.kind = kind;
+  n.begin = static_cast<uint32_t>(terms_.size());
+  n.size = static_cast<uint32_t>(terms.size());
   n.constant = constant;
-  return AddNode(std::move(n));
-}
-
-ExprId ConstraintSystem::LinearEq(std::vector<LinearTerm> terms, int64_t constant) {
-  ExprNode n;
-  n.kind = ExprKind::kLinearEq;
-  n.terms = std::move(terms);
-  n.constant = constant;
-  return AddNode(std::move(n));
+  std::span<const LinearTerm> src = SecureAppend(&terms_, terms);
+  terms_.insert(terms_.end(), src.begin(), src.end());
+  return AddNode(n);
 }
 
 bool ConstraintSystem::EvalOnModel(ExprId e, const std::vector<bool>& bool_values,
@@ -136,16 +155,16 @@ bool ConstraintSystem::EvalOnModel(ExprId e, const std::vector<bool>& bool_value
       return v < bool_values.size() && bool_values[v];
     }
     case ExprKind::kNot:
-      return !EvalOnModel(n.children[0], bool_values, int_values);
+      return !EvalOnModel(children(e)[0], bool_values, int_values);
     case ExprKind::kAnd:
-      for (ExprId c : n.children) {
+      for (ExprId c : children(e)) {
         if (!EvalOnModel(c, bool_values, int_values)) {
           return false;
         }
       }
       return true;
     case ExprKind::kOr:
-      for (ExprId c : n.children) {
+      for (ExprId c : children(e)) {
         if (EvalOnModel(c, bool_values, int_values)) {
           return true;
         }
@@ -154,7 +173,7 @@ bool ConstraintSystem::EvalOnModel(ExprId e, const std::vector<bool>& bool_value
     case ExprKind::kLinearLe:
     case ExprKind::kLinearEq: {
       int64_t sum = n.constant;
-      for (const LinearTerm& term : n.terms) {
+      for (const LinearTerm& term : terms(e)) {
         size_t v = static_cast<size_t>(term.var);
         int64_t value = v < int_values.size() ? int_values[v] : 0;
         sum += term.coefficient * value;

@@ -8,14 +8,22 @@
 //    used only by the PC4 edge-cost constraints, and
 //  * weighted soft constraints (arbitrary boolean expressions).
 //
-// Expressions are nodes in an arena indexed by ExprId; sharing subtrees is
-// free, and backends translate by a single postorder walk.
+// Expressions are fixed-size nodes indexed by ExprId; sharing subtrees is
+// free, and backends translate by a single postorder walk. A node owns no
+// heap block: the children of every not/and/or node live in one pool and
+// the terms of every linear atom in another, and a node names its slice of
+// a pool by (begin, size). Readers get the slices as spans through
+// children() and terms(). Var() and Not() are memoized per operand, and
+// hard-constraint labels are interned.
 
 #ifndef CPR_SRC_SOLVER_CONSTRAINT_SYSTEM_H_
 #define CPR_SRC_SOLVER_CONSTRAINT_SYSTEM_H_
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace cpr {
@@ -42,10 +50,12 @@ struct LinearTerm {
 
 struct ExprNode {
   ExprKind kind = ExprKind::kTrue;
-  BVarId bool_var = -1;             // kBoolVar
-  std::vector<ExprId> children;     // kNot (1), kAnd, kOr
-  std::vector<LinearTerm> terms;    // linear atoms
-  int64_t constant = 0;             // linear atoms
+  BVarId bool_var = -1;  // kBoolVar
+  // The node's slice of the children pool (kNot: 1, kAnd, kOr) or of the
+  // terms pool (linear atoms).
+  uint32_t begin = 0;
+  uint32_t size = 0;
+  int64_t constant = 0;  // linear atoms
 };
 
 struct IntVarInfo {
@@ -73,28 +83,46 @@ class ConstraintSystem {
   ExprId False() const { return false_; }
   ExprId Var(BVarId var);
   ExprId Not(ExprId e);
-  ExprId And(std::vector<ExprId> children);
-  ExprId Or(std::vector<ExprId> children);
+  // `operands` may alias the children pool (another node's children()).
+  ExprId And(std::span<const ExprId> operands) { return Junction(ExprKind::kAnd, operands); }
+  ExprId And(std::initializer_list<ExprId> operands) {
+    return Junction(ExprKind::kAnd, {operands.begin(), operands.size()});
+  }
+  ExprId Or(std::span<const ExprId> operands) { return Junction(ExprKind::kOr, operands); }
+  ExprId Or(std::initializer_list<ExprId> operands) {
+    return Junction(ExprKind::kOr, {operands.begin(), operands.size()});
+  }
   ExprId Implies(ExprId a, ExprId b) { return Or({Not(a), b}); }
   ExprId Iff(ExprId a, ExprId b);
   // The boolean constant `value` as an expression of `var`.
   ExprId VarEquals(BVarId var, bool value) { return value ? Var(var) : Not(Var(var)); }
 
   // sum(terms) + constant <= 0 / == 0.
-  ExprId LinearLe(std::vector<LinearTerm> terms, int64_t constant);
-  ExprId LinearEq(std::vector<LinearTerm> terms, int64_t constant);
+  ExprId LinearLe(std::span<const LinearTerm> terms, int64_t constant) {
+    return LinearAtom(ExprKind::kLinearLe, terms, constant);
+  }
+  ExprId LinearLe(std::initializer_list<LinearTerm> terms, int64_t constant) {
+    return LinearAtom(ExprKind::kLinearLe, {terms.begin(), terms.size()}, constant);
+  }
+  ExprId LinearEq(std::span<const LinearTerm> terms, int64_t constant) {
+    return LinearAtom(ExprKind::kLinearEq, terms, constant);
+  }
+  ExprId LinearEq(std::initializer_list<LinearTerm> terms, int64_t constant) {
+    return LinearAtom(ExprKind::kLinearEq, {terms.begin(), terms.size()}, constant);
+  }
 
   // `label` tags the constraint for provenance: policy id for hard
-  // constraints, construct key for softs. Hard labels live in a parallel
-  // vector so `hard()` stays a plain ExprId list for backends.
-  void AddHard(ExprId e, std::string label = {}) {
+  // constraints, construct key for softs. Hard labels are interned: each
+  // hard constraint stores a label id in a vector parallel to hard_, so
+  // `hard()` stays a plain ExprId list for backends.
+  void AddHard(ExprId e, const std::string& label = {}) {
     hard_.push_back(e);
-    hard_labels_.push_back(label.empty() ? hard_context_ : std::move(label));
+    hard_label_ids_.push_back(label.empty() ? hard_context_ : InternLabel(label));
   }
   // Default label for AddHard calls that pass none — producers set it around
   // a group of constraints (e.g. one policy's encoding) instead of threading
   // a label through every call site.
-  void SetHardLabelContext(std::string label) { hard_context_ = std::move(label); }
+  void SetHardLabelContext(const std::string& label) { hard_context_ = InternLabel(label); }
   void AddSoft(ExprId e, int64_t weight, std::string label = {}) {
     soft_.push_back(SoftConstraint{e, weight, std::move(label)});
   }
@@ -102,11 +130,22 @@ class ConstraintSystem {
   // --- Introspection for backends and stats ---
   int BoolCount() const { return static_cast<int>(bool_names_.size()); }
   int IntCount() const { return static_cast<int>(int_vars_.size()); }
+  int NodeCount() const { return static_cast<int>(nodes_.size()); }
   const std::string& BoolName(BVarId v) const { return bool_names_[static_cast<size_t>(v)]; }
   const IntVarInfo& IntVar(IVarId v) const { return int_vars_[static_cast<size_t>(v)]; }
   const ExprNode& node(ExprId e) const { return nodes_[static_cast<size_t>(e)]; }
+  // A node's operands. The spans point into pools that later node
+  // construction may reallocate: read them before building more nodes.
+  std::span<const ExprId> children(ExprId e) const {
+    const ExprNode& n = node(e);
+    return {children_.data() + n.begin, n.size};
+  }
+  std::span<const LinearTerm> terms(ExprId e) const {
+    const ExprNode& n = node(e);
+    return {terms_.data() + n.begin, n.size};
+  }
   const std::vector<ExprId>& hard() const { return hard_; }
-  const std::string& HardLabel(size_t i) const { return hard_labels_[i]; }
+  const std::string& HardLabel(size_t i) const { return labels_[hard_label_ids_[i]]; }
   const std::vector<SoftConstraint>& soft() const { return soft_; }
   bool HasIntegers() const { return !int_vars_.empty(); }
   int64_t TotalSoftWeight() const;
@@ -119,19 +158,29 @@ class ConstraintSystem {
                    const std::vector<int64_t>& int_values) const;
 
  private:
-  ExprId AddNode(ExprNode node);
+  ExprId AddNode(const ExprNode& node);
+  ExprId Junction(ExprKind kind, std::span<const ExprId> operands);
+  ExprId LinearAtom(ExprKind kind, std::span<const LinearTerm> terms, int64_t constant);
+  uint32_t InternLabel(const std::string& label);
 
   std::vector<ExprNode> nodes_;
+  std::vector<ExprId> children_;  // Children pool.
+  std::vector<LinearTerm> terms_;  // Linear-term pool.
   std::vector<std::string> bool_names_;
   std::vector<IntVarInfo> int_vars_;
   std::vector<ExprId> hard_;
-  std::vector<std::string> hard_labels_;  // Parallel to hard_.
-  std::string hard_context_;
+  std::vector<uint32_t> hard_label_ids_;  // Parallel to hard_; index into labels_.
+  std::vector<std::string> labels_;      // Interned hard labels; labels_[0] is "".
+  std::unordered_map<std::string, uint32_t> label_ids_;
+  uint32_t hard_context_ = 0;
   std::vector<SoftConstraint> soft_;
   ExprId true_ = -1;
   ExprId false_ = -1;
-  // Var(v) is memoized so the arena does not fill with duplicate leaves.
+  // Var(v) and Not(e) are memoized so the node list does not fill with
+  // duplicates: var_exprs_ by BVarId, not_exprs_ by operand ExprId (-1 when
+  // not built yet).
   std::vector<ExprId> var_exprs_;
+  std::vector<ExprId> not_exprs_;
 };
 
 }  // namespace cpr

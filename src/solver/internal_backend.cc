@@ -1,11 +1,12 @@
 // MaxSMT backend on the homegrown CDCL/MaxSAT stack.
 //
 // Boolean expressions are Tseitin-encoded: every composite node gets a
-// definition literal equivalent to the node, hard constraints assert their
-// root literal, and each soft constraint's root literal becomes a weighted
-// unit soft clause. Integer atoms (PC4 cost constraints) are not expressible
-// here; such systems are reported kUnsupported and the repair engine routes
-// them to Z3.
+// definition literal equivalent to the node, hard constraints are asserted
+// through Tseitin::AssertHard (a disjunction root is one clause, a
+// conjunction root asserts its conjuncts, any other root its literal), and
+// each soft constraint's root literal becomes a weighted unit soft clause.
+// Integer atoms (PC4 cost constraints) are not expressible here; such
+// systems are reported kUnsupported and the repair engine routes them to Z3.
 //
 // SolveCertified runs the same pipeline with a ProofLog attached and packs
 // the evidence — proof events, soft inventory, Fu-Malik relaxation trail,
@@ -176,13 +177,11 @@ class InternalBackend final : public MaxSmtBackend {
     maxsat.SetDeadline(Deadline::After(timeout_seconds));
     Tseitin<MaxSatSolver> tseitin(&maxsat, system);
     for (ExprId hard : system.hard()) {
-      std::optional<Lit> lit = tseitin.Encode(hard);
-      if (!lit.has_value()) {
+      if (!tseitin.AssertHard(hard)) {
         result.status = MaxSmtResult::Status::kUnsupported;
         result.message = "expression not expressible in the boolean fragment";
         return result;
       }
-      maxsat.AddHard({*lit});
     }
     for (const SoftConstraint& soft : system.soft()) {
       std::optional<Lit> lit = tseitin.Encode(soft.expr);

@@ -41,25 +41,25 @@ class Z3Translator {
       case ExprKind::kBoolVar:
         return bool_consts_[static_cast<size_t>(n.bool_var)];
       case ExprKind::kNot:
-        return !Translate(n.children[0]);
+        return !Translate(system_.children(id)[0]);
       case ExprKind::kAnd: {
         z3::expr_vector parts(*ctx_);
-        for (ExprId c : n.children) {
+        for (ExprId c : system_.children(id)) {
           parts.push_back(Translate(c));
         }
         return z3::mk_and(parts);
       }
       case ExprKind::kOr: {
         z3::expr_vector parts(*ctx_);
-        for (ExprId c : n.children) {
+        for (ExprId c : system_.children(id)) {
           parts.push_back(Translate(c));
         }
         return z3::mk_or(parts);
       }
       case ExprKind::kLinearLe:
-        return LinearSum(n) <= 0;
+        return LinearSum(id) <= 0;
       case ExprKind::kLinearEq:
-        return LinearSum(n) == 0;
+        return LinearSum(id) == 0;
     }
     return ctx_->bool_val(true);
   }
@@ -68,9 +68,9 @@ class Z3Translator {
   const std::vector<z3::expr>& bool_consts() const { return bool_consts_; }
 
  private:
-  z3::expr LinearSum(const ExprNode& n) {
-    z3::expr sum = ctx_->int_val(static_cast<int64_t>(n.constant));
-    for (const LinearTerm& t : n.terms) {
+  z3::expr LinearSum(ExprId id) {
+    z3::expr sum = ctx_->int_val(static_cast<int64_t>(system_.node(id).constant));
+    for (const LinearTerm& t : system_.terms(id)) {
       z3::expr term = int_consts_[static_cast<size_t>(t.var)];
       if (t.coefficient != 1) {
         term = ctx_->int_val(t.coefficient) * term;

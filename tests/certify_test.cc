@@ -31,6 +31,7 @@
 #include "topo/network.h"
 #include "verify/checker.h"
 #include "workload/datacenter.h"
+#include "workload/fattree.h"
 
 namespace cpr {
 namespace {
@@ -505,6 +506,28 @@ TEST_P(CertifyWorkloadTest, DatacenterUnsatCoresCertifyCold) {
     }
   }
   EXPECT_TRUE(saw_unsat);
+}
+
+// PC3's disjoint-path encoding is nearly all hard disjunctions, which the
+// internal engine asserts as direct clauses; the inline check replays that
+// encoding event for event against each certificate's baseline.
+TEST_P(CertifyWorkloadTest, FatTreePc3SolvesAllCertify) {
+  FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kReachability, 12, 7);
+  Network network = MustBuildNetwork(scenario.broken_configs, scenario.annotations);
+  Harc harc = Harc::Build(network);
+  RepairOptions options;
+  options.backend = GetParam();
+  options.certify = certify::CertifyMode::kOn;
+  options.num_threads = 2;
+  Result<RepairOutcome> outcome = ComputeRepair(harc, scenario.policies, options);
+  ASSERT_TRUE(outcome.ok()) << outcome.error().message();
+  EXPECT_EQ(outcome->status, RepairStatus::kSuccess);
+  EXPECT_GT(outcome->stats.certify_checked, 0);
+  EXPECT_EQ(outcome->stats.certify_failed, 0);
+  for (const ProblemReport& report : outcome->stats.problem_reports) {
+    EXPECT_EQ(report.certification, MaxSmtResult::Certification::kVerified)
+        << report.certify_message;
+  }
 }
 
 TEST_P(CertifyWorkloadTest, CompressedRepairStaysCertified) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "certify/rup.h"
@@ -443,6 +444,45 @@ TEST(SatSolverTest, ReducedLearntsProofReplaysThroughRupChecker) {
   }
   EXPECT_EQ(static_cast<int64_t>(deletions), solver.stats().learnt_deleted);
   EXPECT_TRUE(checker.proven_unsat());
+}
+
+// The learnt database carries over between Solve calls (MaxSAT makes
+// hundreds on one solver), and the reduction cap bounds all of it. Each call
+// here refutes a fresh pigeonhole instance behind its own selector, with
+// far fewer conflicts than the cap, so only the carried-over learnts can
+// push the live count past it. A reduction fires exactly when the live
+// count passes the cap, which starts at kMinLearntCap and grows by a tenth
+// per reduction.
+TEST(SatSolverTest, LearntCapCountsLearntsCarriedAcrossSolveCalls) {
+  const auto cap_after = [](int64_t reductions) {
+    int64_t cap = SatSolver::kMinLearntCap;
+    for (int64_t r = 0; r < reductions; ++r) {
+      cap += cap / 10;
+    }
+    return cap;
+  };
+  SatSolver solver;
+  for (int call = 0; call < 12; ++call) {
+    SCOPED_TRACE("call " + std::to_string(call));
+    BoolVar selector = solver.NewVar();
+    for (Clause clause : PigeonholeCnf(&solver, 6)) {
+      clause.push_back(Lit(selector, true));  // selector -> clause
+      ASSERT_TRUE(solver.AddClause(clause));
+    }
+    const SatStats before = solver.stats();
+    const int64_t live_before = static_cast<int64_t>(solver.LearntCount());
+    ASSERT_EQ(solver.Solve({Lit(selector, false)}), SatResult::kUnsat);
+    const SatStats& after = solver.stats();
+    const int64_t conflicts = after.conflicts - before.conflicts;
+    ASSERT_LT(conflicts, SatSolver::kMinLearntCap / 4);
+    if (after.learnt_reductions > before.learnt_reductions) {
+      EXPECT_GT(live_before + conflicts, cap_after(before.learnt_reductions));
+      EXPECT_GT(after.learnt_deleted, before.learnt_deleted);
+    }
+    EXPECT_LE(static_cast<int64_t>(solver.LearntCount()),
+              cap_after(after.learnt_reductions));
+  }
+  EXPECT_GE(solver.stats().learnt_reductions, 2);
 }
 
 // Learnt-literal accounting: any conflicting run must record at least one

@@ -1,12 +1,20 @@
-// Tests for the solver abstraction: constraint IR simplification and the
-// equivalence of the Z3 and internal backends on boolean MaxSMT problems.
+// Tests for the solver abstraction: the pooled constraint IR (constant
+// folding, memoized leaves and negations, operand slices, interned hard
+// labels), Tseitin's direct hard clauses, and the equivalence of the Z3 and
+// internal backends on boolean MaxSMT problems.
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <random>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "smt/literal.h"
 #include "solver/backend.h"
 #include "solver/constraint_system.h"
+#include "solver/tseitin.h"
 
 namespace cpr {
 namespace {
@@ -32,6 +40,203 @@ TEST(ConstraintSystemTest, VarLeafMemoization) {
   ConstraintSystem cs;
   BVarId x = cs.NewBool("x");
   EXPECT_EQ(cs.Var(x), cs.Var(x));
+}
+
+TEST(ConstraintSystemTest, NotIsMemoizedPerOperand) {
+  ConstraintSystem cs;
+  ExprId x = cs.Var(cs.NewBool("x"));
+  ExprId y = cs.Var(cs.NewBool("y"));
+  ExprId either = cs.Or({x, y});
+  const ExprId not_x = cs.Not(x);
+  const int nodes = cs.NodeCount();
+  EXPECT_EQ(cs.Not(x), not_x);
+  EXPECT_EQ(cs.Not(either), cs.Not(either));
+  EXPECT_NE(cs.Not(y), not_x);
+  EXPECT_EQ(cs.NodeCount(), nodes + 2);  // Not(either) and Not(y), once each.
+}
+
+TEST(ConstraintSystemTest, DoubleNegationThroughThePool) {
+  ConstraintSystem cs;
+  ExprId x = cs.Var(cs.NewBool("x"));
+  ExprId y = cs.Var(cs.NewBool("y"));
+  ExprId both = cs.And({x, y});
+  EXPECT_EQ(cs.Not(cs.Not(x)), x);
+  EXPECT_EQ(cs.Not(cs.Not(both)), both);
+  ASSERT_EQ(cs.children(cs.Not(both)).size(), 1u);
+  EXPECT_EQ(cs.children(cs.Not(both))[0], both);
+}
+
+// Children and terms live in pools that grow as nodes are added; an early
+// node's slice must read the same after the pools have reallocated many
+// times over.
+TEST(ConstraintSystemTest, EarlyNodeOperandsSurvivePoolGrowth) {
+  ConstraintSystem cs;
+  std::vector<ExprId> vars;
+  for (int i = 0; i < 16; ++i) {
+    vars.push_back(cs.Var(cs.NewBool("v" + std::to_string(i))));
+  }
+  IVarId a = cs.NewInt("a", 0, 10);
+  IVarId b = cs.NewInt("b", 0, 10);
+  const ExprId early = cs.Or({vars[3], cs.Not(vars[5]), vars[7]});
+  const std::vector<ExprId> early_children(cs.children(early).begin(),
+                                           cs.children(early).end());
+  const ExprId atom = cs.LinearLe({{a, 2}, {b, -3}}, 4);
+  for (int i = 0; i < 100000; ++i) {
+    size_t k = static_cast<size_t>(i) % vars.size();
+    if (i % 2 == 0) {
+      cs.And({vars[k], vars[(k + 1) % vars.size()], vars[(k + 2) % vars.size()]});
+    } else {
+      cs.LinearEq({{a, i}, {b, 1}}, -i);
+    }
+  }
+  EXPECT_GT(cs.NodeCount(), 100000);
+  EXPECT_EQ(cs.node(early).kind, ExprKind::kOr);
+  EXPECT_EQ(std::vector<ExprId>(cs.children(early).begin(), cs.children(early).end()),
+            early_children);
+  ASSERT_EQ(cs.terms(atom).size(), 2u);
+  EXPECT_EQ(cs.terms(atom)[0].var, a);
+  EXPECT_EQ(cs.terms(atom)[0].coefficient, 2);
+  EXPECT_EQ(cs.terms(atom)[1].var, b);
+  EXPECT_EQ(cs.terms(atom)[1].coefficient, -3);
+  EXPECT_EQ(cs.node(atom).constant, 4);
+}
+
+// And/Or over another node's children() read a span into the very pool
+// they append to; rebuilding many times makes some of those appends
+// reallocate the pool mid-call.
+TEST(ConstraintSystemTest, JunctionOverAliasedChildrenSpan) {
+  ConstraintSystem cs;
+  ExprId x = cs.Var(cs.NewBool("x"));
+  ExprId y = cs.Var(cs.NewBool("y"));
+  ExprId z = cs.Var(cs.NewBool("z"));
+  const ExprId source = cs.And({x, cs.Not(y), z});
+  const std::vector<ExprId> expected(cs.children(source).begin(),
+                                     cs.children(source).end());
+  for (int i = 0; i < 2000; ++i) {
+    ExprId rebuilt = i % 2 == 0 ? cs.Or(cs.children(source)) : cs.And(cs.children(source));
+    ASSERT_EQ(cs.node(rebuilt).kind, i % 2 == 0 ? ExprKind::kOr : ExprKind::kAnd);
+    ASSERT_EQ(std::vector<ExprId>(cs.children(rebuilt).begin(), cs.children(rebuilt).end()),
+              expected)
+        << "iteration " << i;
+  }
+  // A one-operand slice folds to the operand itself.
+  EXPECT_EQ(cs.And(cs.children(cs.Not(x))), x);
+}
+
+TEST(ConstraintSystemTest, HardLabelsAreInterned) {
+  ConstraintSystem cs;
+  ExprId x = cs.Var(cs.NewBool("x"));
+  cs.SetHardLabelContext("pc3:1->2");
+  cs.AddHard(x);
+  cs.AddHard(cs.Not(x));
+  cs.AddHard(x, "devchg:4");
+  cs.SetHardLabelContext("pc3:1->3");
+  cs.AddHard(x);
+  cs.SetHardLabelContext("pc3:1->2");
+  cs.AddHard(x);
+  cs.SetHardLabelContext({});
+  cs.AddHard(x);
+  const std::vector<std::string> expected = {"pc3:1->2", "pc3:1->2", "devchg:4",
+                                             "pc3:1->3", "pc3:1->2", ""};
+  ASSERT_EQ(cs.hard().size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(cs.HardLabel(i), expected[i]) << "hard " << i;
+  }
+  // One label, one stored string.
+  EXPECT_EQ(&cs.HardLabel(0), &cs.HardLabel(1));
+  EXPECT_EQ(&cs.HardLabel(0), &cs.HardLabel(4));
+  EXPECT_NE(&cs.HardLabel(0), &cs.HardLabel(3));
+}
+
+// ---------------------------------------------------------------------------
+// Tseitin::AssertHard on a sink that records what it is given.
+
+struct RecordingSink {
+  int vars = 0;
+  std::vector<Clause> clauses;
+  BoolVar NewVar() { return vars++; }
+  void AddHard(std::span<const Lit> clause) { clauses.emplace_back(clause.begin(), clause.end()); }
+  void AddHard(std::initializer_list<Lit> clause) { clauses.emplace_back(clause); }
+};
+
+Lit PosLit(BVarId v) { return Lit(static_cast<BoolVar>(v), false); }
+Lit NegLit(BVarId v) { return Lit(static_cast<BoolVar>(v), true); }
+
+class TseitinTest : public ::testing::Test {
+ protected:
+  // Encoder over `cs`, with the constructor's true-literal unit dropped from
+  // the record so each test sees only what AssertHard emits.
+  Tseitin<RecordingSink> MakeEncoder() {
+    Tseitin<RecordingSink> tseitin(&sink_, cs_);
+    EXPECT_EQ(sink_.clauses.size(), 1u);
+    sink_.clauses.clear();
+    return tseitin;
+  }
+
+  ConstraintSystem cs_;
+  RecordingSink sink_;
+};
+
+TEST_F(TseitinTest, NestedDisjunctionIsOneClause) {
+  BVarId x = cs_.NewBool("x"), y = cs_.NewBool("y"), z = cs_.NewBool("z"),
+         w = cs_.NewBool("w");
+  ExprId root = cs_.Or({cs_.Var(x), cs_.Not(cs_.Var(y)), cs_.Or({cs_.Var(z), cs_.Var(w)})});
+  Tseitin<RecordingSink> tseitin = MakeEncoder();
+  ASSERT_TRUE(tseitin.AssertHard(root));
+  ASSERT_EQ(sink_.clauses.size(), 1u);
+  EXPECT_EQ(sink_.clauses[0], (Clause{PosLit(x), NegLit(y), PosLit(z), PosLit(w)}));
+  // No definition variable: the decision variables plus the true literal.
+  EXPECT_EQ(sink_.vars, cs_.BoolCount() + 1);
+}
+
+TEST_F(TseitinTest, ConjunctionAssertsEachConjunct) {
+  BVarId a = cs_.NewBool("a"), b = cs_.NewBool("b"), c = cs_.NewBool("c");
+  ExprId root = cs_.And({cs_.Or({cs_.Var(a), cs_.Var(b)}), cs_.Var(c)});
+  Tseitin<RecordingSink> tseitin = MakeEncoder();
+  ASSERT_TRUE(tseitin.AssertHard(root));
+  ASSERT_EQ(sink_.clauses.size(), 2u);
+  EXPECT_EQ(sink_.clauses[0], (Clause{PosLit(a), PosLit(b)}));
+  EXPECT_EQ(sink_.clauses[1], (Clause{PosLit(c)}));
+  EXPECT_EQ(sink_.vars, cs_.BoolCount() + 1);
+}
+
+TEST_F(TseitinTest, NegatedDisjunctionAssertsItsDefinition) {
+  BVarId a = cs_.NewBool("a"), b = cs_.NewBool("b");
+  ExprId root = cs_.Not(cs_.Or({cs_.Var(a), cs_.Var(b)}));
+  Tseitin<RecordingSink> tseitin = MakeEncoder();
+  ASSERT_TRUE(tseitin.AssertHard(root));
+  const Lit def = Lit(cs_.BoolCount() + 1, false);
+  EXPECT_EQ(sink_.vars, cs_.BoolCount() + 2);
+  ASSERT_EQ(sink_.clauses.size(), 4u);  // def <-> a | b, then the root unit.
+  EXPECT_EQ(sink_.clauses[0], (Clause{NegLit(a), def}));
+  EXPECT_EQ(sink_.clauses[1], (Clause{NegLit(b), def}));
+  EXPECT_EQ(sink_.clauses[2], (Clause{~def, PosLit(a), PosLit(b)}));
+  EXPECT_EQ(sink_.clauses[3], (Clause{~def}));
+}
+
+TEST_F(TseitinTest, ConjunctionInsideDisjunctionIsOneDefinitionLiteral) {
+  BVarId x = cs_.NewBool("x"), y = cs_.NewBool("y"), z = cs_.NewBool("z");
+  ExprId root = cs_.Or({cs_.Var(x), cs_.And({cs_.Var(y), cs_.Var(z)})});
+  Tseitin<RecordingSink> tseitin = MakeEncoder();
+  ASSERT_TRUE(tseitin.AssertHard(root));
+  const Lit def = Lit(cs_.BoolCount() + 1, false);
+  EXPECT_EQ(sink_.vars, cs_.BoolCount() + 2);
+  ASSERT_EQ(sink_.clauses.size(), 4u);  // def <-> y & z, then the root clause.
+  EXPECT_EQ(sink_.clauses[0], (Clause{~def, PosLit(y)}));
+  EXPECT_EQ(sink_.clauses[1], (Clause{~def, PosLit(z)}));
+  EXPECT_EQ(sink_.clauses[2], (Clause{def, NegLit(y), NegLit(z)}));
+  EXPECT_EQ(sink_.clauses[3], (Clause{PosLit(x), def}));
+}
+
+TEST_F(TseitinTest, IntegerAtomIsNotAsserted) {
+  BVarId x = cs_.NewBool("x");
+  IVarId n = cs_.NewInt("n", 0, 3);
+  ExprId atom = cs_.LinearLe({{n, 1}}, -1);
+  ExprId guarded = cs_.Or({cs_.Var(x), atom});
+  Tseitin<RecordingSink> tseitin = MakeEncoder();
+  EXPECT_FALSE(tseitin.AssertHard(atom));
+  EXPECT_FALSE(tseitin.AssertHard(guarded));
+  EXPECT_TRUE(sink_.clauses.empty());
 }
 
 class BackendTest : public ::testing::TestWithParam<bool> {
