@@ -90,10 +90,26 @@ grep -q -- "--threads: expected an integer, got '4x'" <<<"$flag_err" || {
   echo "strict flags FAILED: error does not name the flag: $flag_err" >&2
   exit 1
 }
+# --seed takes the whole uint32 range (perfbench derives such scenario
+# seeds) and rejects a negative instead of wrapping it.
+seed_dir="$(mktemp -d /tmp/cpr-seed-XXXXXX)"
+build/tools/cpr gen "$seed_dir/ft" --fattree 4 --seed 4126804819 >/dev/null || {
+  echo "strict flags FAILED: --seed 4126804819 was rejected" >&2
+  exit 1
+}
+if flag_err="$(build/tools/cpr gen "$seed_dir/neg" --fattree 4 --seed -1 2>&1)"; then
+  echo "strict flags FAILED: --seed -1 was accepted" >&2
+  exit 1
+fi
+grep -q -- "--seed: expected an integer in \[0, 4294967295\], got '-1'" <<<"$flag_err" || {
+  echo "strict flags FAILED: error does not name the flag: $flag_err" >&2
+  exit 1
+}
+rm -rf "$seed_dir"
 echo "strict flags OK"
 for key in '"schema_version"' '"stages"' '"counters"' '"gauges"' \
            '"histograms"' '"repair"' '"problems"' '"solve_wall_seconds"' \
-           '"cdcl.decisions"' '"cdcl.heap_picks"' '"lint"' \
+           '"cdcl.decisions"' '"cdcl.heap_picks"' '"simulated"' '"lint"' \
            '"lint_errors"' '"audit_new_findings"'; do
   if ! grep -q -- "$key" "$stats_json"; then
     echo "stats smoke FAILED: missing $key in $stats_json" >&2
@@ -320,10 +336,12 @@ start_cprd() {
 }
 start_cprd
 build/tools/cprd ping --socket "$sock" | grep -q 'ok=1'
-# Request 1 runs the full pipeline through the daemon.
+# Request 1 runs the full pipeline through the daemon, on the default
+# engine: the internal CDCL/MaxSAT stack.
 build/tools/cprd submit --socket "$sock" examples/data/paper-example \
-  examples/data/paper-example-boolean.policies --backend internal \
+  examples/data/paper-example-boolean.policies \
   --tag smoke --wait 60 | tail -1 | grep -q 'status=success'
+build/tools/cprd result --socket "$sock" --id 1 | grep -q '"backend":"internal-maxsat"'
 # Telemetry (DESIGN.md §14): a real scrape of the live daemon must be
 # Prometheus-parseable and must cover both the serve-layer instruments and
 # the pipeline instruments merged at request completion; the live flight

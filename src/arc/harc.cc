@@ -7,10 +7,6 @@
 
 namespace cpr {
 
-namespace {
-
-// The distribute-list (route filter) configured on a routing process, if
-// any.
 const DistributeList* ProcessDistributeList(const Network& network, ProcessId process) {
   const RoutingProcess& proc = network.processes()[static_cast<size_t>(process)];
   const Config& config = network.config_for(proc.device);
@@ -34,6 +30,8 @@ const DistributeList* ProcessDistributeList(const Network& network, ProcessId pr
   }
   return nullptr;
 }
+
+namespace {
 
 // Link interface names oriented so `.first` is on `egress_device`.
 std::pair<std::string, std::string> OrientLink(const TopoLink& link, DeviceId egress_device) {
@@ -349,39 +347,35 @@ bool AdjacencyConfigured(const Network& network, const CandidateEdge& edge) {
   return false;
 }
 
+const std::vector<Redistribution>* ProcessRedistributions(const Network& network,
+                                                          ProcessId process) {
+  const RoutingProcess& proc = network.processes()[static_cast<size_t>(process)];
+  const Config& config = network.config_for(proc.device);
+  switch (proc.kind) {
+    case RouteSource::kOspf: {
+      const OspfConfig* ospf = config.FindOspf(proc.protocol_id);
+      return ospf != nullptr ? &ospf->redistributes : nullptr;
+    }
+    case RouteSource::kBgp:
+      return config.bgp.has_value() ? &config.bgp->redistributes : nullptr;
+    case RouteSource::kRip:
+      return config.rip.has_value() ? &config.rip->redistributes : nullptr;
+    case RouteSource::kConnected:
+    case RouteSource::kStatic:
+      return nullptr;
+  }
+  return nullptr;
+}
+
 bool RedistributionConfigured(const Network& network, const CandidateEdge& edge) {
   assert(edge.kind == EtgEdgeKind::kRedistribution);
   // `from_process` (whose I vertex the edge leaves) is the process that
   // advertises the routes, i.e. the one configured with `redistribute`.
-  const RoutingProcess& redistributing =
-      network.processes()[static_cast<size_t>(edge.from_process)];
   const RoutingProcess& source = network.processes()[static_cast<size_t>(edge.to_process)];
-  const Config& config = network.config_for(redistributing.device);
-  const std::vector<Redistribution>* redists = nullptr;
-  switch (redistributing.kind) {
-    case RouteSource::kOspf: {
-      const OspfConfig* ospf = config.FindOspf(redistributing.protocol_id);
-      if (ospf == nullptr) {
-        return false;
-      }
-      redists = &ospf->redistributes;
-      break;
-    }
-    case RouteSource::kBgp:
-      if (!config.bgp.has_value()) {
-        return false;
-      }
-      redists = &config.bgp->redistributes;
-      break;
-    case RouteSource::kRip:
-      if (!config.rip.has_value()) {
-        return false;
-      }
-      redists = &config.rip->redistributes;
-      break;
-    case RouteSource::kConnected:
-    case RouteSource::kStatic:
-      return false;
+  const std::vector<Redistribution>* redists =
+      ProcessRedistributions(network, edge.from_process);
+  if (redists == nullptr) {
+    return false;
   }
   for (const Redistribution& redist : *redists) {
     if (redist.from == source.kind &&

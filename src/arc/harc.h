@@ -89,6 +89,15 @@ class Harc {
 
 // --- Building blocks shared with the translator -----------------------------
 
+// The distribute-list `process` applies to its routes, or null when it has
+// none.
+const DistributeList* ProcessDistributeList(const Network& network, ProcessId process);
+
+// The `redistribute` statements of `process`, or null when its stanza is
+// missing (or the process is connected/static, which has none).
+const std::vector<Redistribution>* ProcessRedistributions(const Network& network,
+                                                          ProcessId process);
+
 // Whether `process` is configured to filter routes toward `destination`
 // (its distribute-list's prefix list denies the destination prefix).
 bool ProcessBlocksDestination(const Network& network, ProcessId process,

@@ -350,10 +350,12 @@ CheckResult CheckModelOnly(const Certificate& cert) {
 
 // Re-encodes the problem into a mirror MaxSAT solver and requires the
 // generated input stream, variable watermark, and soft inventory to match
-// the certificate's baseline exactly. Only meaningful for cold certificates
+// the certificate's baseline exactly — soft weights included, which are the
+// engine's line tie-break weights. Only meaningful for cold certificates
 // (every engine certificate is; the flag is part of the artifact schema).
 CheckResult VerifyEncodingBaseline(const ConstraintSystem& system,
                                    const Certificate& cert) {
+  const TieBreakWeights tie_break = LineTieBreakWeights(system);
   MaxSatSolver mirror;
   ProofLog mirror_log;
   mirror.SetProofLog(&mirror_log);
@@ -365,13 +367,13 @@ CheckResult VerifyEncodingBaseline(const ConstraintSystem& system,
   }
   std::vector<Lit> soft_lits;
   soft_lits.reserve(system.soft().size());
-  for (const SoftConstraint& soft : system.soft()) {
-    std::optional<Lit> lit = tseitin.Encode(soft.expr);
+  for (size_t i = 0; i < system.soft().size(); ++i) {
+    std::optional<Lit> lit = tseitin.Encode(system.soft()[i].expr);
     if (!lit.has_value()) {
       return Fail("soft constraint not boolean-encodable in replay");
     }
     soft_lits.push_back(*lit);
-    mirror.AddSoft({*lit}, soft.weight);
+    mirror.AddSoft({*lit}, tie_break.weights[i]);
   }
   if (static_cast<int64_t>(mirror_log.size()) != cert.baseline_events) {
     return Fail("baseline event count does not match the re-encoded problem");
@@ -393,7 +395,7 @@ CheckResult VerifyEncodingBaseline(const ConstraintSystem& system,
   for (size_t i = 0; i < soft_lits.size(); ++i) {
     const CertSoft& soft = cert.softs[i];
     if (soft.clause != Clause{soft_lits[i]} || soft.selector != soft_lits[i] ||
-        soft.weight != system.soft()[i].weight) {
+        soft.weight != tie_break.weights[i]) {
       return Fail("soft inventory entry " + std::to_string(i) +
                   " does not match the problem");
     }
@@ -520,9 +522,19 @@ CheckResult CheckCertified(const ConstraintSystem& system, MaxSmtResult* result)
     if (violated_indices != result->violated_soft) {
       return Fail("reported violated-soft set does not match the model");
     }
-    if (cert->kind == Certificate::Kind::kClausal &&
-        cert->cost != result->cost) {
-      return Fail("certificate cost does not equal the reported cost");
+    if (cert->kind == Certificate::Kind::kClausal) {
+      // The clausal certificate claims the optimum under the weights the
+      // engine solved (LineTieBreakWeights), not the plain reported cost.
+      const TieBreakWeights tie_break = LineTieBreakWeights(system);
+      int64_t engine_cost = 0;
+      for (int i : violated_indices) {
+        engine_cost += tie_break.weights[static_cast<size_t>(i)];
+      }
+      if (cert->cost != engine_cost) {
+        return Fail("certificate cost " + std::to_string(cert->cost) +
+                    " does not equal the model's engine-weighted cost " +
+                    std::to_string(engine_cost));
+      }
     }
   } else if (result->status == MaxSmtResult::Status::kUnsat) {
     const int64_t hard_count = static_cast<int64_t>(system.hard().size());

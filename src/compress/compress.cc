@@ -254,6 +254,9 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
       RepairOptions quotient_options = options;
       quotient_options.compress = CompressOptions{};
       quotient_options.num_threads = 1;
+      // The quotient solves the paper's objective alone: representative line
+      // counts do not describe the lifted repair (see line_tie_break).
+      quotient_options.line_tie_break = false;
       Timer solve_timer;
       Result<RepairOutcome> solved =
           ComputeRepair(*quotient->harc, quotient_policies, quotient_options);

@@ -290,6 +290,7 @@ Status Cpr::CloseLoop(const std::vector<Policy>& policies, const CprOptions& opt
     obs::StageSpan simulate_span("pipeline.simulate");
     report->residual_simulation_violations =
         FindSimulationViolations(*rebuilt, policies, options.simulator_failure_cap);
+    report->simulated = true;
   }
 
   // Post-translate lint audit: the patched configurations must introduce no

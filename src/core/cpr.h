@@ -99,9 +99,12 @@ struct CprReport {
   obs::ProvenanceReport provenance;
 
   // Policies still violated after the repair — both must be empty for a
-  // sound repair.
+  // sound repair. `simulated` says whether the simulator ran at all: when it
+  // did not (validate_with_simulator off), the simulated list is empty
+  // unchecked and Sound() is the graph verdict alone.
   std::vector<Policy> residual_graph_violations;
   std::vector<Policy> residual_simulation_violations;
+  bool simulated = false;
 
   // Lint gate findings on the *input* configurations (empty when
   // LintMode::kOff), and the post-translate audit: error/warning findings

@@ -114,6 +114,7 @@ void WriteRepair(obs::JsonWriter* w, const CprReport& report) {
       .Int(static_cast<int64_t>(report.residual_simulation_violations.size()));
   // The verdict; "status" above is the solver outcome alone.
   w->Key("sound").Bool(report.Sound());
+  w->Key("simulated").Bool(report.simulated);
   w->Key("lint_errors").Int(stats.lint_errors);
   w->Key("lint_warnings").Int(stats.lint_warnings);
   w->Key("lint_audit_new_findings").Int(stats.lint_audit_new_findings);

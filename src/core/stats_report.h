@@ -28,6 +28,8 @@
 //       "sound",                       // solved, and no residual violation
 //                                      // (graph or simulated); "status" is
 //                                      // the solver outcome alone
+//       "simulated",                   // whether the simulator ran; false
+//                                      // makes "sound" the graph verdict
 //       "solver_counter_totals": { "<name>": <double>, ... },
 //       "problems": [ { "dsts", "status", "attempts", "backend",
 //                       "solve_seconds", "cost", "message",

@@ -67,6 +67,8 @@ bool ParseInt(std::string_view text, int* out) { return ParseWhole(text, out); }
 
 bool ParseInt64(std::string_view text, int64_t* out) { return ParseWhole(text, out); }
 
+bool ParseUint32(std::string_view text, uint32_t* out) { return ParseWhole(text, out); }
+
 bool ParseDouble(std::string_view text, double* out) {
   return ParseWhole(text, out) && std::isfinite(*out);
 }

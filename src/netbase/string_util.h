@@ -29,6 +29,8 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 // *out is unspecified.
 bool ParseInt(std::string_view text, int* out);
 bool ParseInt64(std::string_view text, int64_t* out);
+// The same for [0, 2^32-1]: a leading '-' is rejected, not wrapped.
+bool ParseUint32(std::string_view text, uint32_t* out);
 
 // Parses all of `text` as a finite decimal number ("2", "-0.5", "4e-07").
 // False on anything else — trailing characters, "inf"/"nan", overflow.

@@ -33,6 +33,146 @@ std::string PolicyTag(const Policy& policy) {
   return "pc?_" + sd;
 }
 
+// --- Line counts --------------------------------------------------------------
+//
+// How many lines changing one construct adds to the input configurations,
+// read from the facts the translator reads (translate/translator.cc:
+// ApplyFilter, EditAclAt, ApplyStaticRoute and the adjacency editors). Each
+// construct is counted alone: two changes that share one new prefix-list or
+// ACL header are each charged the header.
+
+// A waypoint placement adds no configuration line. It is charged the dearest
+// single addition (a new ACL with its application) so that a tie never
+// trades a configuration edit for a new middlebox.
+constexpr int64_t kWaypointLines = 4;
+
+int64_t FilterLines(const Network& network, ProcessId process, bool block) {
+  if (!block) {
+    return 1;  // Drop the deny, or put a permit in front.
+  }
+  const DistributeList* dist_list = ProcessDistributeList(network, process);
+  if (dist_list == nullptr) {
+    return 3;  // A new prefix-list (deny, permit-all) and its distribute-list.
+  }
+  const Config& config =
+      network.config_for(network.processes()[static_cast<size_t>(process)].device);
+  // An undefined prefix list is written out with its permit-all first.
+  return config.FindPrefixList(dist_list->prefix_list) == nullptr ? 2 : 1;
+}
+
+// The lines EditAclAt writes on one interface direction.
+int64_t AclSideLines(const Config& config, const std::string& interface, bool inbound,
+                     const TrafficClass& tc, bool block) {
+  const InterfaceConfig* intf = config.FindInterface(interface);
+  if (intf == nullptr) {
+    return 0;
+  }
+  const std::optional<std::string>& applied = inbound ? intf->acl_in : intf->acl_out;
+  if (!applied.has_value()) {
+    // A new ACL: access-group, header, deny, permit-any.
+    return block ? 4 : 0;
+  }
+  const AccessList* acl = config.FindAccessList(*applied);
+  if (acl == nullptr) {
+    // An undefined ACL permits all; it is written out (header, permit-any)
+    // before the edit.
+    return block ? 3 : 2;
+  }
+  return acl->Permits(tc) == block ? 1 : 0;
+}
+
+int64_t LinkAclLines(const Network& network, LinkId link, DeviceId egress,
+                     const TrafficClass& tc, bool block) {
+  auto [egress_intf, ingress_intf] = network.LinkInterfaces(link, egress);
+  // Blocks land on the ingress side; unblocks on every side that blocks.
+  int64_t lines = AclSideLines(network.config_for(network.LinkPeer(link, egress)),
+                               ingress_intf, /*inbound=*/true, tc, block);
+  if (!block) {
+    lines += AclSideLines(network.config_for(egress), egress_intf, /*inbound=*/false, tc,
+                          false);
+  }
+  return lines;
+}
+
+int64_t StaticRouteLines(const Network& network, DeviceId device, bool add) {
+  if (!add) {
+    return 1;
+  }
+  // An added route is also redistributed into the first of the device's
+  // processes that has a redistribution list.
+  for (ProcessId process : network.devices()[static_cast<size_t>(device)].processes) {
+    const std::vector<Redistribution>* redists = ProcessRedistributions(network, process);
+    if (redists != nullptr) {
+      const Redistribution redist_static{RouteSource::kStatic, 0};
+      return std::find(redists->begin(), redists->end(), redist_static) == redists->end()
+                 ? 2
+                 : 1;
+    }
+  }
+  return 1;
+}
+
+int64_t AdjacencyLines(const Network& network, LinkId link, ProcessId low, ProcessId high,
+                       bool enable) {
+  const auto& processes = network.processes();
+  const RoutingProcess& first = processes[static_cast<size_t>(low)];
+  // `proc`'s interface on the link, with its address when configured.
+  auto end_of = [&](const RoutingProcess& proc) {
+    const std::string intf_name = network.LinkInterfaces(link, proc.device).first;
+    const InterfaceConfig* intf = network.config_for(proc.device).FindInterface(intf_name);
+    return std::make_pair(intf_name, intf != nullptr ? intf->address
+                                                     : std::optional<InterfaceAddress>());
+  };
+  int64_t lines = 0;
+  switch (first.kind) {
+    case RouteSource::kOspf:
+      // Enable: unset passive and cover the interface on both ends. Disable:
+      // one passive-interface on the low end.
+      for (ProcessId p : {low, high}) {
+        if (!enable && p == high) {
+          break;
+        }
+        const RoutingProcess& proc = processes[static_cast<size_t>(p)];
+        const OspfConfig* ospf = network.config_for(proc.device).FindOspf(proc.protocol_id);
+        if (ospf == nullptr) {
+          continue;
+        }
+        auto [intf_name, address] = end_of(proc);
+        lines += (ospf->passive_interfaces.count(intf_name) > 0) == enable ? 1 : 0;
+        if (enable && address.has_value() &&
+            std::none_of(ospf->networks.begin(), ospf->networks.end(),
+                         [&](const Ipv4Prefix& n) { return n.Contains(address->ip); })) {
+          ++lines;
+        }
+      }
+      return lines;
+    case RouteSource::kBgp: {
+      // Enable: a neighbor statement on each end that lacks one. Disable:
+      // remove the low end's statements naming the peer.
+      const RoutingProcess& second = processes[static_cast<size_t>(high)];
+      for (auto [self, peer] : {std::pair{&first, &second}, std::pair{&second, &first}}) {
+        const Config& config = network.config_for(self->device);
+        std::optional<InterfaceAddress> peer_address = end_of(*peer).second;
+        if (!config.bgp.has_value() || !peer_address.has_value()) {
+          continue;
+        }
+        const std::vector<BgpNeighbor>& neighbors = config.bgp->neighbors;
+        if (!enable) {
+          return std::count_if(neighbors.begin(), neighbors.end(), [&](const BgpNeighbor& n) {
+            return n.ip == peer_address->ip;
+          });
+        }
+        lines += std::none_of(neighbors.begin(), neighbors.end(), [&](const BgpNeighbor& n) {
+          return n.ip == peer_address->ip && n.remote_as == peer->protocol_id;
+        });
+      }
+      return lines;
+    }
+    default:
+      return 1;
+  }
+}
+
 }  // namespace
 
 RepairEncoder::RepairEncoder(const Harc& harc, const RepairProblem& problem,
@@ -82,12 +222,13 @@ Status RepairEncoder::Encode() {
   return Status::Ok();
 }
 
-void RepairEncoder::KeepSoft(ExprId expr, bool original, std::string label,
+void RepairEncoder::KeepSoft(ExprId expr, bool original, int64_t lines, std::string label,
                              std::initializer_list<DeviceId> devices) {
   ExprId keep = original ? expr : system_.Not(expr);
-  // One line of configuration per violated construct soft (Table 2's unit of
-  // utility). Under kDevices these become the tiebreak.
-  system_.AddSoft(keep, 1, std::move(label));
+  // One construct change per violated construct soft (Table 2's unit of
+  // utility); `lines` breaks ties on the internal engine. Under kDevices
+  // these become the tiebreak.
+  system_.AddSoft(keep, 1, std::move(label), options_.line_tie_break ? lines : 0);
   if (options_.objective == MinimizeObjective::kDevices) {
     for (DeviceId device : devices) {
       device_deviations_[device].push_back(system_.Not(keep));
@@ -134,7 +275,9 @@ ExprId RepairEncoder::AdjacencyExpr(const CandidateEdge& edge, CandidateEdgeId /
                                  std::to_string(key.low) + "_" + std::to_string(key.high));
     expr = system_.Var(var);
     const auto& processes = universe_.network().processes();
-    KeepSoft(expr, original, AdjacencyConstructKey(key.link, key.low, key.high),
+    KeepSoft(expr, original,
+             AdjacencyLines(universe_.network(), key.link, key.low, key.high, !original),
+             AdjacencyConstructKey(key.link, key.low, key.high),
              {processes[static_cast<size_t>(key.low)].device,
               processes[static_cast<size_t>(key.high)].device});
   }
@@ -153,7 +296,8 @@ ExprId RepairEncoder::FilterLit(SubnetId dst, ProcessId process) {
       network, process, network.subnets()[static_cast<size_t>(dst)].prefix);
   BVarId var = system_.NewBool("flt_d" + std::to_string(dst) + "_p" + std::to_string(process));
   ExprId expr = system_.Var(var);
-  KeepSoft(expr, original, FilterConstructKey(dst, process),
+  KeepSoft(expr, original, FilterLines(network, process, !original),
+           FilterConstructKey(dst, process),
            {network.processes()[static_cast<size_t>(process)].device});
   filter_exprs_.emplace(key, expr);
   return expr;
@@ -171,7 +315,8 @@ ExprId RepairEncoder::StaticLit(SubnetId dst, DeviceId device, LinkId link) {
   BVarId var = system_.NewBool("sr_d" + std::to_string(dst) + "_dev" +
                                std::to_string(device) + "_l" + std::to_string(link));
   ExprId expr = system_.Var(var);
-  KeepSoft(expr, original, StaticRouteConstructKey(dst, device, link), {device});
+  KeepSoft(expr, original, StaticRouteLines(network, device, !original),
+           StaticRouteConstructKey(dst, device, link), {device});
   static_exprs_.emplace(key, expr);
   return expr;
 }
@@ -192,7 +337,8 @@ ExprId RepairEncoder::LinkAclLit(SubnetId src, SubnetId dst, LinkId link,
   ExprId expr = system_.Var(var);
   // An ACL change may land on either end of the link (blocks apply on the
   // ingress side; unblocks may touch both).
-  KeepSoft(expr, original, LinkAclConstructKey(src, dst, link, egress),
+  KeepSoft(expr, original, LinkAclLines(network, link, egress, tc, !original),
+           LinkAclConstructKey(src, dst, link, egress),
            {egress, network.LinkPeer(link, egress)});
   link_acl_exprs_.emplace(key, expr);
   return expr;
@@ -212,8 +358,12 @@ ExprId RepairEncoder::EndpointAclLit(SubnetId src, SubnetId dst, SubnetId subnet
   BVarId var = system_.NewBool("eacl_t" + std::to_string(src) + "_" + std::to_string(dst) +
                                (src_side ? "_in" : "_out"));
   ExprId expr = system_.Var(var);
-  KeepSoft(expr, original, EndpointAclConstructKey(src, dst, src_side),
-           {network.subnets()[static_cast<size_t>(subnet)].device});
+  const Subnet& endpoint = network.subnets()[static_cast<size_t>(subnet)];
+  KeepSoft(expr, original,
+           AclSideLines(network.config_for(endpoint.device), endpoint.interface,
+                        /*inbound=*/src_side, tc, !original),
+           EndpointAclConstructKey(src, dst, src_side),
+           {endpoint.device});
   endpoint_acl_exprs_.emplace(key, expr);
   return expr;
 }
@@ -232,7 +382,8 @@ ExprId RepairEncoder::WaypointExpr(LinkId link) {
     expr = system_.Var(var);
     // Placing a waypoint costs one change (paper: "plus a firewall").
     system_.AddSoft(system_.Not(expr), options_.waypoint_weight,
-                    WaypointConstructKey(link));
+                    WaypointConstructKey(link),
+                    options_.line_tie_break ? kWaypointLines : 0);
   } else {
     expr = system_.False();
   }
@@ -253,7 +404,7 @@ IVarId RepairEncoder::CostVar(const CandidateEdge& edge) {
   // Keeping the configured cost avoids one configuration change (on the
   // egress interface's device).
   int64_t original = static_cast<int64_t>(edge.default_weight);
-  KeepSoft(system_.LinearEq({{var, 1}}, -original), true,
+  KeepSoft(system_.LinearEq({{var, 1}}, -original), true, /*lines=*/1,
            CostConstructKey(edge.link, edge.device), {edge.device});
   return var;
 }
@@ -283,7 +434,7 @@ void RepairEncoder::BuildAetgLayer() {
         } else {
           BVarId var = system_.NewBool("rd_" + EdgeName(universe_, e));
           expr = system_.Var(var);
-          KeepSoft(expr, original,
+          KeepSoft(expr, original, /*lines=*/1,
                    RedistributionConstructKey(edge.from_process, edge.to_process),
                    {edge.device});
         }

@@ -20,8 +20,10 @@
 //
 // which makes the hierarchy constraints (18-19) hold by construction, makes
 // every model exactly realizable in configuration, and makes each violated
-// soft constraint (one per construct, "keep it as configured") equal one
-// configuration line changed — the paper's minimality objective.
+// soft constraint (one per construct, "keep it as configured") cost one
+// construct change — the paper's minimality objective. Each soft also
+// carries the configuration lines its change adds (SoftConstraint::lines),
+// by which the internal engine breaks ties between equally cheap repairs.
 //
 // Per-policy hard constraints (Figure 5):
 //   PC1  backward-reachability implications + unreachable(SRC)
@@ -136,7 +138,8 @@ class RepairEncoder {
                     bool waypoint_free_only, const std::string& tag);
 
   // Construct-variable factories; each creates the variable on first use and
-  // attaches its "stay as configured" soft constraint (weight 1 line).
+  // attaches its "stay as configured" soft constraint (weight 1, plus the
+  // lines its change adds).
   ExprId AdjacencyExpr(const CandidateEdge& edge, CandidateEdgeId e);
   ExprId FilterLit(SubnetId dst, ProcessId process);    // true = blocks dst
   ExprId StaticLit(SubnetId dst, DeviceId device, LinkId link);
@@ -146,11 +149,11 @@ class RepairEncoder {
   IVarId CostVar(const CandidateEdge& edge);
 
   // Registers the weight-1 "keep this construct as configured" soft
-  // constraint, labelled with the construct's canonical key (edits.h) for
-  // provenance, and, under the minimize-devices objective, records the
-  // deviation against the devices whose configurations realizing a change
-  // would touch.
-  void KeepSoft(ExprId expr, bool original, std::string label,
+  // constraint with the `lines` its change adds, labelled with the
+  // construct's canonical key (edits.h) for provenance, and, under the
+  // minimize-devices objective, records the deviation against the devices
+  // whose configurations realizing a change would touch.
+  void KeepSoft(ExprId expr, bool original, int64_t lines, std::string label,
                 std::initializer_list<DeviceId> devices);
   void AddDeviceObjective();
 

@@ -140,6 +140,15 @@ struct RepairOptions {
   // with `cpr certify <dir>`.
   std::string certify_artifact_dir;
 
+  // Whether construct softs carry the configuration lines their change adds
+  // (SoftConstraint::lines), by which the internal engine breaks ties
+  // between equally cheap repairs. Internal: only the compression pre-pass
+  // clears it, for its quotient solves. A representative's lines do not
+  // describe the lifted repair, where each quotient construct fans out over
+  // its block; with them, the compressed 6-port PC1 fat-tree repair grew
+  // from 49 to 144 lines.
+  bool line_tie_break = true;
+
   // Whether repairs may place new waypoints on links (paper footnote 2:
   // virtual network functions let waypoints be added on arbitrary links).
   bool allow_waypoint_placement = true;

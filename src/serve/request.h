@@ -33,7 +33,10 @@ struct RequestSpec {
 
   // Passed through to RepairOptions (tools/cpr repair flags).
   double timeout_seconds = 10;
-  std::string backend = "z3";         // "z3" | "internal"
+  // "internal" | "z3". The internal CDCL/MaxSAT engine solves the boolean
+  // problems and breaks ties by changed lines; a problem with PC4's integer
+  // costs fails over to Z3 (the daemon always keeps failover on).
+  std::string backend = "internal";
   std::string granularity = "perdst"; // "perdst" | "alltcs"
   int max_retries = 0;                // Per-problem solver retries.
   bool simulate = false;              // Re-validate on the simulator.

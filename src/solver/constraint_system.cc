@@ -192,4 +192,18 @@ int64_t ConstraintSystem::TotalSoftWeight() const {
   return total;
 }
 
+TieBreakWeights LineTieBreakWeights(const ConstraintSystem& system) {
+  const std::vector<SoftConstraint>& softs = system.soft();
+  TieBreakWeights out;
+  for (const SoftConstraint& soft : softs) {
+    assert(soft.lines >= 0);
+    out.scale += soft.lines;
+  }
+  out.weights.reserve(softs.size());
+  for (const SoftConstraint& soft : softs) {
+    out.weights.push_back(soft.weight * out.scale + soft.lines);
+  }
+  return out;
+}
+
 }  // namespace cpr

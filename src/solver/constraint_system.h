@@ -70,6 +70,11 @@ struct SoftConstraint {
   // Provenance label: which repair construct this soft constraint keeps
   // (e.g. "adj:l3:p1-2"). Empty when the producer did not attach one.
   std::string label;
+  // Configuration lines that violating this soft (changing its construct)
+  // adds to the input configurations, as the translator writes them. Only
+  // the internal engine reads it, to break ties in `weight`
+  // (LineTieBreakWeights); 0 when the producer attached no count.
+  int64_t lines = 0;
 };
 
 class ConstraintSystem {
@@ -123,8 +128,8 @@ class ConstraintSystem {
   // a group of constraints (e.g. one policy's encoding) instead of threading
   // a label through every call site.
   void SetHardLabelContext(const std::string& label) { hard_context_ = InternLabel(label); }
-  void AddSoft(ExprId e, int64_t weight, std::string label = {}) {
-    soft_.push_back(SoftConstraint{e, weight, std::move(label)});
+  void AddSoft(ExprId e, int64_t weight, std::string label = {}, int64_t lines = 0) {
+    soft_.push_back(SoftConstraint{e, weight, std::move(label), lines});
   }
 
   // --- Introspection for backends and stats ---
@@ -182,6 +187,20 @@ class ConstraintSystem {
   std::vector<ExprId> var_exprs_;
   std::vector<ExprId> not_exprs_;
 };
+
+// The soft weights the internal engine solves: soft i weighs
+// `weight_i * scale + lines_i`, with scale = 1 + (sum of all lines). The
+// lines of any soft set sum below `scale`, so an optimum under these weights
+// is lexicographic: fewest construct changes by `weight` first (the paper's
+// objective), then fewest configuration lines among equally cheap repairs.
+// An optimum `w` costs `w / scale` in plain weights. Without line counts
+// scale is 1 and the weights are the plain ones. The internal backend and
+// the certificate checker both derive the weights here.
+struct TieBreakWeights {
+  int64_t scale = 1;
+  std::vector<int64_t> weights;  // Parallel to ConstraintSystem::soft().
+};
+TieBreakWeights LineTieBreakWeights(const ConstraintSystem& system);
 
 }  // namespace cpr
 

@@ -5,6 +5,10 @@
 // through Tseitin::AssertHard (a disjunction root is one clause, a
 // conjunction root asserts its conjuncts, any other root its literal), and
 // each soft constraint's root literal becomes a weighted unit soft clause.
+// The soft weights are LineTieBreakWeights: among repairs of equal construct
+// cost the engine returns one with the fewest configuration lines. The
+// reported cost stays in plain weights; the certificate claims the optimum
+// under the weights actually solved.
 // Integer atoms (PC4 cost constraints) are not expressible here; such
 // systems are reported kUnsupported and the repair engine routes them to Z3.
 //
@@ -183,14 +187,16 @@ class InternalBackend final : public MaxSmtBackend {
         return result;
       }
     }
-    for (const SoftConstraint& soft : system.soft()) {
-      std::optional<Lit> lit = tseitin.Encode(soft.expr);
+    const std::vector<SoftConstraint>& softs = system.soft();
+    const TieBreakWeights tie_break = LineTieBreakWeights(system);
+    for (size_t i = 0; i < softs.size(); ++i) {
+      std::optional<Lit> lit = tseitin.Encode(softs[i].expr);
       if (!lit.has_value()) {
         result.status = MaxSmtResult::Status::kUnsupported;
         result.message = "expression not expressible in the boolean fragment";
         return result;
       }
-      maxsat.AddSoft({*lit}, soft.weight);
+      maxsat.AddSoft({*lit}, tie_break.weights[i]);
     }
 
     std::optional<MaxSatSolver::Solution> solution = maxsat.Solve();
@@ -211,13 +217,12 @@ class InternalBackend final : public MaxSmtBackend {
       return result;
     }
     result.status = MaxSmtResult::Status::kOptimal;
-    result.cost = solution->cost;
+    result.cost = solution->cost / tie_break.scale;
     result.bool_values.resize(static_cast<size_t>(system.BoolCount()));
     for (BVarId v = 0; v < system.BoolCount(); ++v) {
       result.bool_values[static_cast<size_t>(v)] = solution->model[static_cast<size_t>(v)];
     }
     // Provenance: which softs the optimum sacrificed.
-    const std::vector<SoftConstraint>& softs = system.soft();
     for (size_t i = 0; i < softs.size(); ++i) {
       if (!system.EvalOnModel(softs[i].expr, result.bool_values, result.int_values)) {
         result.violated_soft.push_back(static_cast<int>(i));

@@ -22,6 +22,7 @@
 #include "config/parser.h"
 #include "core/cpr.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "repair/repair.h"
 #include "smt/certificate.h"
 #include "solver/backend.h"
@@ -128,17 +129,29 @@ ConstraintSystem Contradiction() {
   return cs;
 }
 
+// The internal engine solves under the line tie-break weights: the claimed
+// optimum is in those units and must check against the re-encoded problem.
 TEST(CertifyBackendTest, InternalOptimalProducesValidatingCertificate) {
   std::unique_ptr<MaxSmtBackend> backend =
       certify::MakeCertifyingBackend(MakeInternalBackend(), certify::CertifyMode::kOn);
-  ConstraintSystem cs = SimpleOptimization();
+  // Either soft may go at construct cost 1; dropping !y changes fewer lines.
+  ConstraintSystem cs;
+  BVarId x = cs.NewBool("x");
+  BVarId y = cs.NewBool("y");
+  cs.AddHard(cs.Or({cs.Var(x), cs.Var(y)}));
+  cs.AddSoft(cs.Not(cs.Var(x)), 1, "x", /*lines=*/4);
+  cs.AddSoft(cs.Not(cs.Var(y)), 1, "y", /*lines=*/1);
   MaxSmtResult result = backend->SolveCertified(cs, 10);
   ASSERT_EQ(result.status, MaxSmtResult::Status::kOptimal);
   EXPECT_EQ(result.cost, 1);
-  EXPECT_EQ(result.certification, MaxSmtResult::Certification::kVerified);
+  EXPECT_EQ(result.violated_soft, std::vector<int>{1});
+  EXPECT_EQ(result.certification, MaxSmtResult::Certification::kVerified)
+      << result.certify_message;
   ASSERT_NE(result.certificate, nullptr);
   EXPECT_EQ(result.certificate->kind, Certificate::Kind::kClausal);
   EXPECT_EQ(result.certificate->claim, Certificate::Claim::kOptimal);
+  // Weights 1*6+4 and 1*6+1 (scale 1 + 4 + 1): the optimum is 7.
+  EXPECT_EQ(result.certificate->cost, 7);
   // The certificate also validates standalone, without the system.
   certify::CheckResult check = certify::CheckCertificate(*result.certificate);
   EXPECT_TRUE(check.ok) << check.message;
@@ -453,7 +466,23 @@ Network MustBuildNetwork(const std::vector<std::string>& texts,
   return *std::move(network);
 }
 
-class CertifyWorkloadTest : public ::testing::TestWithParam<BackendChoice> {};
+class CertifyWorkloadTest : public ::testing::TestWithParam<BackendChoice> {
+ protected:
+  // Every problem must be solved and certified on the engine under test
+  // itself: a failed internal certificate would otherwise fail over to Z3
+  // and still ship verified. Counters come from the test's own registry.
+  void ExpectSolvedOnEngine(const RepairStats& stats) {
+    const std::string engine =
+        GetParam() == BackendChoice::kInternal ? "internal-maxsat" : "z3-optimize";
+    for (const ProblemReport& report : stats.problem_reports) {
+      EXPECT_EQ(report.backend, engine);
+    }
+    EXPECT_EQ(registry_.counter("certify.failover").value(), 0);
+  }
+
+  obs::Registry registry_;
+  obs::RegistryScope scope_{&registry_};
+};
 
 TEST_P(CertifyWorkloadTest, DatacenterSolvesAllCertify) {
   for (int index : {0, 3}) {
@@ -471,6 +500,7 @@ TEST_P(CertifyWorkloadTest, DatacenterSolvesAllCertify) {
       EXPECT_EQ(report.certification, MaxSmtResult::Certification::kVerified)
           << "network " << index << ": " << report.certify_message;
     }
+    ExpectSolvedOnEngine(outcome->stats);
   }
 }
 
@@ -506,6 +536,7 @@ TEST_P(CertifyWorkloadTest, DatacenterUnsatCoresCertifyCold) {
     }
   }
   EXPECT_TRUE(saw_unsat);
+  ExpectSolvedOnEngine(outcome->stats);
 }
 
 // PC3's disjoint-path encoding is nearly all hard disjunctions, which the
@@ -528,6 +559,7 @@ TEST_P(CertifyWorkloadTest, FatTreePc3SolvesAllCertify) {
     EXPECT_EQ(report.certification, MaxSmtResult::Certification::kVerified)
         << report.certify_message;
   }
+  ExpectSolvedOnEngine(outcome->stats);
 }
 
 TEST_P(CertifyWorkloadTest, CompressedRepairStaysCertified) {
@@ -551,6 +583,7 @@ TEST_P(CertifyWorkloadTest, CompressedRepairStaysCertified) {
     EXPECT_EQ(problem.certification, MaxSmtResult::Certification::kVerified)
         << problem.certify_message;
   }
+  ExpectSolvedOnEngine(report->stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothBackends, CertifyWorkloadTest,

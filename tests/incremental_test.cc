@@ -27,6 +27,7 @@
 #include "smt/certificate.h"
 #include "solver/backend.h"
 #include "tests/example_network.h"
+#include "tests/rebreak.h"
 #include "verify/checker.h"
 #include "workload/dirty.h"
 #include "workload/fattree.h"
@@ -421,24 +422,13 @@ TEST(IncrementalEquivalenceTest, ScopedAclEditReusesCleanGroups) {
   ASSERT_TRUE(repaired.ok()) << repaired.error().message();
   ASSERT_TRUE(repaired->Sound());
 
-  // Drop one deny entry from one repaired router's referenced ACL —
-  // re-breaking a single traffic class.
+  // Drop one repair deny from one router — an ACL entry or a route-filter
+  // entry — re-breaking a single traffic class or destination.
   std::vector<std::string> texts;
   for (const Config& config : repaired->patched_configs) {
     texts.push_back(PrintConfig(config));
   }
-  size_t victim = texts.size();
-  for (size_t i = 0; i < texts.size(); ++i) {
-    size_t deny = texts[i].find(" deny ip 10.");
-    if (deny != std::string::npos && texts[i].find("access-group") != std::string::npos) {
-      size_t end = texts[i].find('\n', deny);
-      ASSERT_NE(end, std::string::npos);
-      texts[i].erase(deny, end - deny + 1);
-      victim = i;
-      break;
-    }
-  }
-  ASSERT_LT(victim, texts.size()) << "no repaired router carries a bound ACL deny";
+  ASSERT_TRUE(RemoveOneRepairDeny(&texts)) << "no repaired router carries a repair deny";
 
   Result<std::shared_ptr<RepairSession>> session =
       BuildSession(repaired->patched_configs, repaired->patched_annotations,

@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "repair/repair.h"
 #include "solver/backend.h"
 #include "tests/example_network.h"
+#include "translate/translator.h"
 #include "tests/patched_harc.h"
 #include "verify/checker.h"
 #include "verify/inference.h"
@@ -329,7 +331,9 @@ TEST(RepairSpanTest, ProblemSpansNestUnderSolve) {
 // The internal engine reaches Z3's optimum on the benchmark's fat-tree
 // shapes, far beyond the dozen-variable instances the brute-force
 // cross-checks cover, and its search is deterministic: a second solve of the
-// same system returns the same model after the same search.
+// same system returns the same model after the same search. Among the
+// repairs of that cost it picks one with the fewest lines, so its model's
+// lines never exceed those of Z3's (which keeps the paper's objective alone).
 struct EngineCase {
   const char* name;
   int ports;
@@ -364,6 +368,14 @@ TEST_P(FatTreeBackendAgreementTest, InternalReachesZ3OptimumDeterministically) {
     ASSERT_TRUE(internal.ok()) << MaxSmtStatusName(internal.status) << ": " << internal.message;
     ASSERT_TRUE(z3.ok()) << MaxSmtStatusName(z3.status) << ": " << z3.message;
     EXPECT_EQ(internal.cost, z3.cost);
+    const auto model_lines = [&](const MaxSmtResult& result) {
+      int64_t lines = 0;
+      for (int i : result.violated_soft) {
+        lines += encoder.system().soft()[static_cast<size_t>(i)].lines;
+      }
+      return lines;
+    };
+    EXPECT_LE(model_lines(internal), model_lines(z3));
     // The order heap serves every decision: no variable goes missing from it.
     const auto counter = [&](std::string_view name) {
       for (const auto& [key, value] : internal.solver_counters) {
@@ -390,8 +402,125 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(EngineCase{"Pc1Ports4", 4, PolicyClass::kAlwaysBlocked, 40},
                       EngineCase{"Pc2Ports4", 4, PolicyClass::kAlwaysWaypoint, 40},
                       EngineCase{"Pc3Ports4", 4, PolicyClass::kReachability, 12},
-                      EngineCase{"Pc3Ports6", 6, PolicyClass::kReachability, 32}),
+                      EngineCase{"Pc3Ports6", 6, PolicyClass::kReachability, 32},
+                      EngineCase{"Pc1Ports8", 8, PolicyClass::kAlwaysBlocked, 16}),
     [](const ::testing::TestParamInfo<EngineCase>& info) { return info.param.name; });
+
+// Each construct soft's `lines` is what the translator writes for that
+// construct changed alone on the input configurations: flip the soft's
+// variable in the model that keeps every construct as configured, decode,
+// translate, and count the changed lines. A waypoint placement adds no line
+// and is charged a fixed 4. Adds the construct kinds covered (the label
+// prefix, e.g. "flt") to `kinds`.
+void ExpectSoftLinesMatchTranslation(const Network& network, const std::vector<Policy>& policies,
+                                     Granularity granularity, std::set<std::string>* kinds) {
+  Harc harc = Harc::Build(network);
+  RepairOptions options;
+  options.granularity = granularity;
+  for (const RepairProblem& problem : PartitionProblems(harc, policies, options)) {
+    RepairEncoder encoder(harc, problem, options);
+    Status encoded = encoder.Encode();
+    EXPECT_TRUE(encoded.ok()) << encoded.error().message();
+    const ConstraintSystem& system = encoder.system();
+    MaxSmtResult keep;
+    keep.status = MaxSmtResult::Status::kOptimal;
+    keep.bool_values.assign(static_cast<size_t>(system.BoolCount()), false);
+    std::vector<BVarId> soft_vars;
+    for (const SoftConstraint& soft : system.soft()) {
+      // Every construct soft is a literal of its construct's variable.
+      const ExprNode& root = system.node(soft.expr);
+      const bool keeps_true = root.kind == ExprKind::kBoolVar;
+      const ExprNode& var = keeps_true ? root : system.node(system.children(soft.expr)[0]);
+      EXPECT_EQ(var.kind, ExprKind::kBoolVar) << soft.label;
+      soft_vars.push_back(var.bool_var);
+      keep.bool_values[static_cast<size_t>(var.bool_var)] = keeps_true;
+    }
+    RepairEdits none;
+    encoder.CollectEdits(keep, &none);
+    EXPECT_TRUE(none.empty());
+    for (size_t i = 0; i < system.soft().size(); ++i) {
+      const SoftConstraint& soft = system.soft()[i];
+      SCOPED_TRACE(soft.label);
+      const std::string kind = soft.label.substr(0, soft.label.find(':'));
+      kinds->insert(kind);
+      if (kind == "wp") {
+        EXPECT_EQ(soft.lines, 4);
+        continue;
+      }
+      MaxSmtResult flipped = keep;
+      const size_t var = static_cast<size_t>(soft_vars[i]);
+      flipped.bool_values[var] = !flipped.bool_values[var];
+      RepairEdits edits;
+      encoder.CollectEdits(flipped, &edits);
+      EXPECT_EQ(edits.TotalChanges(), 1);
+      Result<TranslationResult> translated = TranslateEdits(network, edits);
+      ASSERT_TRUE(translated.ok()) << translated.error().message();
+      EXPECT_EQ(translated->LinesChanged(), soft.lines);
+    }
+  }
+}
+
+struct LineCase {
+  const char* name;
+  PolicyClass pc;
+  int policies;
+};
+
+void PrintTo(const LineCase& c, std::ostream* os) { *os << c.name; }
+
+class SoftLinesTest : public ::testing::TestWithParam<LineCase> {};
+
+TEST_P(SoftLinesTest, FatTreeSoftLinesAreTranslatedLines) {
+  const LineCase& c = GetParam();
+  FatTreeScenario scenario = MakeFatTreeScenario(4, c.pc, c.policies, 7);
+  Result<Network> network = BrokenNetwork(scenario);
+  ASSERT_TRUE(network.ok()) << network.error().message();
+  std::set<std::string> kinds;
+  ExpectSoftLinesMatchTranslation(*network, scenario.policies, Granularity::kPerDst, &kinds);
+  EXPECT_FALSE(kinds.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FatTrees, SoftLinesTest,
+    ::testing::Values(LineCase{"Pc1Ports4", PolicyClass::kAlwaysBlocked, 40},
+                      LineCase{"Pc2Ports4", PolicyClass::kAlwaysWaypoint, 40},
+                      LineCase{"Pc3Ports4", PolicyClass::kReachability, 12}),
+    [](const ::testing::TestParamInfo<LineCase>& info) { return info.param.name; });
+
+// The paper example per destination, and under kAllTcs, where the aETG's
+// adjacencies and redistributions become constructs too. B and C also peer
+// over BGP in the kAllTcs run, so each has two processes to redistribute
+// between and the B-C session is a BGP adjacency.
+TEST(SoftLinesExampleTest, ExampleSoftLinesAreTranslatedLines) {
+  auto example = [](bool with_bgp) {
+    std::vector<Config> configs;
+    for (std::string text : {kExampleConfigA, kExampleConfigB, kExampleConfigC}) {
+      if (with_bgp && text.rfind("hostname B", 0) == 0) {
+        text += "router bgp 65002\n neighbor 10.0.3.3 remote-as 65003\n";
+      } else if (with_bgp && text.rfind("hostname C", 0) == 0) {
+        text += "router bgp 65003\n neighbor 10.0.3.2 remote-as 65002\n";
+      }
+      configs.push_back(*ParseConfig(text));
+    }
+    NetworkAnnotations annotations;
+    annotations.waypoint_links.insert({"B", "C"});
+    return *Network::Build(std::move(configs), std::move(annotations));
+  };
+  std::set<std::string> kinds;
+  for (bool all_tcs : {false, true}) {
+    SCOPED_TRACE(all_tcs ? "alltcs" : "perdst");
+    Network network = example(/*with_bgp=*/all_tcs);
+    const SubnetId s = *network.FindSubnet(ExampleSubnetS());
+    const SubnetId t = *network.FindSubnet(ExampleSubnetT());
+    const SubnetId u = *network.FindSubnet(ExampleSubnetU());
+    ExpectSoftLinesMatchTranslation(
+        network,
+        {Policy::AlwaysBlocked(s, u), Policy::AlwaysWaypoint(s, t), Policy::Reachability(s, t, 2)},
+        all_tcs ? Granularity::kAllTcs : Granularity::kPerDst, &kinds);
+  }
+  EXPECT_EQ(kinds.count("adj"), 1u);
+  EXPECT_EQ(kinds.count("redist"), 1u);
+}
 
 }  // namespace
 }  // namespace cpr

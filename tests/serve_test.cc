@@ -2,9 +2,9 @@
 // isolation with retry, snapshot caching, and exactly-once drain/restart.
 //
 // Every test drives a real in-process Daemon over the paper's running
-// example (tests/example_network.h) with the internal backend, so the full
-// parse -> HARC -> verify -> MaxSAT -> translate pipeline runs under the
-// daemon exactly as it does under `cprd serve`.
+// example (tests/example_network.h) on the default internal backend, so the
+// full parse -> HARC -> verify -> MaxSAT -> translate pipeline runs under
+// the daemon exactly as it does under `cprd serve`.
 
 #include "serve/daemon.h"
 
@@ -64,6 +64,13 @@ class ServeFixture {
     std::ofstream((root_ / "configs" / name)) << text;
   }
 
+  // Writes another policy file next to the default one; returns its path.
+  std::string WritePolicy(const std::string& name, const std::string& text) const {
+    const std::string path = (root_ / name).string();
+    std::ofstream(path) << text;
+    return path;
+  }
+
   std::string config_dir() const { return (root_ / "configs").string(); }
   std::string policy_file() const { return policy_file_; }
   std::string checkpoint_dir() const { return (root_ / "ckpt").string(); }
@@ -73,7 +80,6 @@ class ServeFixture {
     spec.tag = tag;
     spec.config_dir = config_dir();
     spec.policy_file = policy_file();
-    spec.backend = "internal";
     spec.timeout_seconds = 10;
     return spec;
   }
@@ -126,7 +132,7 @@ TEST(WireTest, SpecFieldsRoundTripIncludingNonDefaults) {
   spec.policy_file = "/tmp/p";
   spec.deadline_seconds = 12.5;
   spec.timeout_seconds = 3;
-  spec.backend = "internal";
+  spec.backend = "z3";
   spec.granularity = "alltcs";
   spec.max_retries = 2;
   spec.simulate = true;
@@ -274,6 +280,42 @@ TEST(DaemonTest, RunsRequestThroughFullPipeline) {
   }
   EXPECT_TRUE(merged_pipeline_counter)
       << "finished request's registry was not merged into the global one";
+}
+
+// cprd's default engine is the internal one. A PC4 policy's integer edge
+// costs are beyond it, so its problem reaches Z3 through the failover the
+// daemon always keeps on.
+TEST(DaemonTest, DefaultSpecSolvesOnInternalEngineAndFailsOverPc4ToZ3) {
+  ServeFixture fx("default_engine");
+  Result<std::unique_ptr<Daemon>> daemon = Daemon::Start(fx.Options());
+  ASSERT_TRUE(daemon.ok()) << daemon.error().message();
+
+  RequestSpec spec;
+  spec.config_dir = fx.config_dir();
+  spec.policy_file = fx.policy_file();
+  AdmissionDecision boolean = (*daemon)->Submit(spec);
+  spec.policy_file = fx.WritePolicy(
+      "pc4.policies", std::string(kPolicyText) +
+                          "primary-path 10.1.0.0/16 -> 10.20.0.0/16 via A B C\n");
+  AdmissionDecision pc4 = (*daemon)->Submit(spec);
+  ASSERT_TRUE(boolean.admitted && pc4.admitted) << boolean.error << pc4.error;
+  ASSERT_TRUE((*daemon)->WaitFor(boolean.id, 30));
+  ASSERT_TRUE((*daemon)->WaitFor(pc4.id, 30));
+
+  std::optional<RequestStatus> status = (*daemon)->GetStatus(boolean.id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->status, "success") << status->error;
+  EXPECT_NE(status->stats_json.find("\"backend\":\"internal-maxsat\""), std::string::npos)
+      << status->stats_json;
+  EXPECT_EQ(status->stats_json.find("z3-optimize"), std::string::npos);
+
+  status = (*daemon)->GetStatus(pc4.id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->status, "success") << status->error;
+  EXPECT_NE(status->stats_json.find("\"backend\":\"z3-optimize\""), std::string::npos)
+      << status->stats_json;
+  EXPECT_NE(status->stats_json.find("\"solver.failovers\":1"), std::string::npos)
+      << status->stats_json;
 }
 
 // ---- daemon: deadlines ----------------------------------------------------

@@ -20,6 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "tests/example_network.h"
+#include "tests/rebreak.h"
 #include "verify/checker.h"
 #include "workload/fattree.h"
 
@@ -267,16 +268,7 @@ TEST(RepairSpanTreeTest, PlainCompressedAndIncrementalShareOneSkeleton) {
     for (const Config& config : repaired->patched_configs) {
       texts.push_back(PrintConfig(config));
     }
-    bool edited = false;
-    for (std::string& text : texts) {
-      const size_t deny = text.find(" deny ip 10.");
-      if (!edited && deny != std::string::npos &&
-          text.find("access-group") != std::string::npos) {
-        text.erase(deny, text.find('\n', deny) - deny + 1);
-        edited = true;
-      }
-    }
-    ASSERT_TRUE(edited) << "no repaired router carries a bound ACL deny";
+    ASSERT_TRUE(RemoveOneRepairDeny(&texts)) << "no repaired router carries a repair deny";
     Result<std::shared_ptr<incremental::RepairSession>> session =
         incremental::BuildSession(repaired->patched_configs, repaired->patched_annotations,
                                   scenario.policies, options.repair);
@@ -319,6 +311,32 @@ TEST(StatsJsonSoundTest, SolvedRepairWithSimulatedResidualsIsNotSound) {
   EXPECT_NE(json.find("\"status\":\"success\""), std::string::npos);
   EXPECT_NE(json.find("\"residual_simulation_violations\":32"), std::string::npos);
   EXPECT_NE(json.find("\"sound\":false"), std::string::npos);
+  EXPECT_NE(json.find("\"simulated\":true"), std::string::npos);
+}
+
+// Without the simulator the verdict is the graph check alone, and the
+// document says so: a client can tell it from a simulated one.
+TEST(StatsJsonSoundTest, UnsimulatedVerdictSaysSo) {
+  NetworkAnnotations annotations;
+  annotations.waypoint_links.insert({"B", "C"});
+  Result<Cpr> pipeline = Cpr::FromConfigTexts(
+      {kExampleConfigA, kExampleConfigB, kExampleConfigC}, std::move(annotations));
+  ASSERT_TRUE(pipeline.ok()) << pipeline.error().message();
+  const Network& network = pipeline->network();
+  const SubnetId s = *network.FindSubnet(ExampleSubnetS());
+  const SubnetId t = *network.FindSubnet(ExampleSubnetT());
+  CprOptions options;
+  options.repair.backend = BackendChoice::kInternal;
+  options.validate_with_simulator = false;
+  Result<CprReport> report = pipeline->Repair({Policy::Reachability(s, t, 2)}, options);
+  ASSERT_TRUE(report.ok()) << report.error().message();
+  EXPECT_FALSE(report->simulated);
+
+  StatsRunInfo run;
+  run.command = "repair";
+  const std::string json = BuildStatsJson(run, &*report);
+  EXPECT_NE(json.find("\"sound\":true"), std::string::npos);
+  EXPECT_NE(json.find("\"simulated\":false"), std::string::npos);
 }
 
 TEST(StatsJsonStandaloneTest, BuildsWithoutRepairReport) {

@@ -47,6 +47,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -201,7 +202,7 @@ struct CliArgs {
   int dirty_asym = 0;           // `cpr gen --dirty-asym N` symmetry breaks.
   bool incremental = false;     // `cpr repair --incremental`.
   std::string baseline_dir;     // `cpr repair --baseline DIR` prior snapshot.
-  unsigned seed = 1;
+  uint32_t seed = 1;
   cpr::CprOptions options;
 };
 
@@ -248,6 +249,11 @@ cpr::Result<CliArgs> ParseArgs(int argc, char** argv) {
       } else if constexpr (std::is_same_v<T, int>) {
         if (!cpr::ParseInt(*v, out)) {
           return cpr::Error(flag + ": expected an integer, got '" + *v + "'");
+        }
+      } else if constexpr (std::is_same_v<T, uint32_t>) {
+        if (!cpr::ParseUint32(*v, out)) {
+          return cpr::Error(flag + ": expected an integer in [0, 4294967295], got '" + *v +
+                            "'");
         }
       } else {
         if (!cpr::ParseDouble(*v, out)) {
@@ -382,9 +388,7 @@ cpr::Result<CliArgs> ParseArgs(int argc, char** argv) {
     } else if (flag == "--dirty-asym") {
       parsed = read(&args.dirty_asym);
     } else if (flag == "--seed") {
-      int seed = 0;
-      parsed = read(&seed);
-      args.seed = static_cast<unsigned>(seed);
+      parsed = read(&args.seed);
     } else {
       return cpr::Error("unknown flag " + flag);
     }
@@ -834,10 +838,17 @@ int CmdRepair(const cpr::Cpr& pipeline, const std::vector<cpr::Policy>& policies
     std::printf("  * %s\n", change.c_str());
   }
   std::printf("\n%s", report->diff_text.c_str());
-  std::printf("\nvalidation: %zu graph / %zu simulated residual violations -> %s\n",
-              report->residual_graph_violations.size(),
-              report->residual_simulation_violations.size(),
-              report->Sound() ? "sound" : "UNSOUND");
+  if (report->simulated) {
+    std::printf("\nvalidation: %zu graph / %zu simulated residual violations -> %s\n",
+                report->residual_graph_violations.size(),
+                report->residual_simulation_violations.size(),
+                report->Sound() ? "sound" : "UNSOUND");
+  } else {
+    std::printf("\nvalidation: %zu graph residual violations, simulator not run "
+                "(--no-simulate) -> %s\n",
+                report->residual_graph_violations.size(),
+                report->Sound() ? "sound" : "UNSOUND");
+  }
   if (args.options.lint_mode != cpr::LintMode::kOff) {
     if (report->lint_new_findings.empty()) {
       std::printf("lint audit: clean (repaired configurations introduce no new "

@@ -9,7 +9,7 @@
 // Client (one wire op per invocation, against a running daemon):
 //   cprd ping   --socket PATH
 //   cprd submit --socket PATH <config-dir> <policy-file>
-//        [--tag T] [--deadline S] [--timeout S] [--backend z3|internal]
+//        [--tag T] [--deadline S] [--timeout S] [--backend internal|z3]
 //        [--granularity perdst|alltcs] [--max-retries N] [--simulate]
 //        [--lint gate|warn|off] [--compress on|off|auto]
 //        [--incremental auto|off] [--certify[=on|off|auto|log]]
@@ -108,7 +108,10 @@ int Usage() {
       "  --flight-dump PATH    where drain/crash flight-recorder dumps land\n"
       "                        (default <checkpoint-dir>/flightrec.json)\n"
       "request options:\n"
-      "  --tag T  --deadline S  --timeout S  --backend z3|internal\n"
+      "  --tag T  --deadline S  --timeout S\n"
+      "  --backend internal|z3  internal (default): the CDCL/MaxSAT engine,\n"
+      "             fewest lines among equally cheap repairs; problems with\n"
+      "             PC4 integer costs fail over to z3\n"
       "  --granularity perdst|alltcs  --max-retries N  --simulate\n"
       "  --lint gate|warn|off  --compress on|off|auto  --inject-fault SPEC\n"
       "  --incremental auto|off  auto (default) re-repairs a re-submitted\n"
