@@ -128,6 +128,28 @@ assert counters["cdcl.fallback_picks"] == 0, counters
 EOF
 echo "stats smoke OK ($(wc -c < "$stats_json") bytes)"
 
+echo "== decision tiers and stratum skip smoke =="
+# A conflict-free PC1 repair: its decisions come from the index tier (never-
+# bumped variables in index order), and the MaxSAT loop skips strata the
+# last model already satisfies. The order still serves every decision.
+tiers_dir="$(mktemp -d /tmp/cpr-tiers-XXXXXX)"
+build/tools/cpr gen "$tiers_dir/ft" --fattree 4 --broken --pc pc1 --policies 40 \
+  --seed 7 --policy-out "$tiers_dir/ft.policies" >/dev/null
+build/tools/cpr repair "$tiers_dir/ft" "$tiers_dir/ft.policies" --backend internal \
+  --no-simulate --stats-json "$tiers_dir/stats.json" >/dev/null
+python3 - "$tiers_dir/stats.json" <<'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+decisions = counters["cdcl.decisions"]
+assert decisions > 0, counters
+assert counters["cdcl.heap_picks"] == decisions, counters
+assert counters["cdcl.fallback_picks"] == 0, counters
+assert counters["cdcl.index_picks"] > 0, counters
+assert counters["maxsat.strata_skipped"] > 0, counters
+EOF
+rm -rf "$tiers_dir"
+echo "decision tiers smoke OK"
+
 echo "== cpr explain smoke =="
 explain_json="$(mktemp /tmp/cpr-explain-XXXXXX.json)"
 build/tools/cpr explain examples/data/paper-example \

@@ -1,13 +1,17 @@
 #include "arc/etg.h"
 
-#include <algorithm>
+#include <bit>
 
 #include "graph/max_flow.h"
 
 namespace cpr {
 
 int Etg::PresentEdgeCount() const {
-  return static_cast<int>(std::count(present_.begin(), present_.end(), true));
+  int count = 0;
+  for (uint64_t word : present_) {
+    count += std::popcount(word);
+  }
+  return count;
 }
 
 Digraph Etg::ToDigraph() const {
@@ -15,7 +19,7 @@ Digraph Etg::ToDigraph() const {
   for (int e = 0; e < universe_->EdgeCount(); ++e) {
     const CandidateEdge& candidate = universe_->edge(e);
     EdgeId id = graph.AddEdge(candidate.from, candidate.to, weight(e));
-    if (!present_[static_cast<size_t>(e)]) {
+    if (!IsPresent(e)) {
       graph.RemoveEdge(id);
     }
   }

@@ -16,6 +16,7 @@
 #ifndef CPR_SRC_ARC_ETG_H_
 #define CPR_SRC_ARC_ETG_H_
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -28,14 +29,28 @@ class Etg {
  public:
   Etg() = default;
   explicit Etg(const EtgUniverse* universe)
-      : universe_(universe), present_(static_cast<size_t>(universe->EdgeCount()), false) {}
+      : universe_(universe),
+        present_((static_cast<size_t>(universe->EdgeCount()) + kWordBits - 1) / kWordBits,
+                 0) {}
 
   const EtgUniverse& universe() const { return *universe_; }
 
-  bool IsPresent(CandidateEdgeId edge) const { return present_[static_cast<size_t>(edge)]; }
-  void SetPresent(CandidateEdgeId edge, bool present) {
-    present_[static_cast<size_t>(edge)] = present;
+  bool IsPresent(CandidateEdgeId edge) const {
+    const size_t e = static_cast<size_t>(edge);
+    return ((present_[e / kWordBits] >> (e % kWordBits)) & 1) != 0;
   }
+  void SetPresent(CandidateEdgeId edge, bool present) {
+    const size_t e = static_cast<size_t>(edge);
+    const uint64_t bit = uint64_t{1} << (e % kWordBits);
+    if (present) {
+      present_[e / kWordBits] |= bit;
+    } else {
+      present_[e / kWordBits] &= ~bit;
+    }
+  }
+  // Whether both ETGs have the same edges present (weights aside): one
+  // word-wise compare of the bitmaps.
+  bool SamePresence(const Etg& other) const { return present_ == other.present_; }
 
   double weight(CandidateEdgeId edge) const {
     auto it = weight_overrides_.find(edge);
@@ -66,8 +81,10 @@ class Etg {
   bool operator==(const Etg& other) const = default;
 
  private:
+  static constexpr size_t kWordBits = 64;
+
   const EtgUniverse* universe_ = nullptr;
-  std::vector<bool> present_;
+  std::vector<uint64_t> present_;  // Bit e: candidate edge e is present.
   std::unordered_map<CandidateEdgeId, double> weight_overrides_;
 };
 

@@ -253,8 +253,7 @@ Result<CprReport> Cpr::RepairImpl(const std::vector<Policy>& policies,
   report.diff_text = std::move(patched->diff_text);
   report.lines_changed = patched->lines_changed;
   JoinConfigChanges(patched->edit_traces, &report.provenance);
-  Status closed = CloseLoop(policies, options, std::move(patched->rebuilt_network),
-                            std::move(patched->rebuilt_harc), &report);
+  Status closed = CloseLoop(policies, options, &*patched, &report);
   if (!closed.ok()) {
     return closed.error();
   }
@@ -262,12 +261,11 @@ Result<CprReport> Cpr::RepairImpl(const std::vector<Policy>& policies,
 }
 
 Status Cpr::CloseLoop(const std::vector<Policy>& policies, const CprOptions& options,
-                      std::unique_ptr<Network> prebuilt_network,
-                      std::unique_ptr<Harc> prebuilt_harc, CprReport* report) const {
+                      PatchedRepair* patched, CprReport* report) const {
   // Close the loop: rebuild the network and HARC from the patched
   // configurations and re-check every policy. The pre-passes hand over the
-  // pair they already rebuilt and re-verified.
-  std::unique_ptr<Network> rebuilt = std::move(prebuilt_network);
+  // pair they already rebuilt, and its verdict when it is still current.
+  std::shared_ptr<const Network> rebuilt = std::move(patched->rebuilt_network);
   if (rebuilt == nullptr) {
     obs::StageSpan rebuild_span("pipeline.rebuild");
     Result<Network> built =
@@ -276,15 +274,18 @@ Status Cpr::CloseLoop(const std::vector<Policy>& policies, const CprOptions& opt
       return Error("patched configurations no longer form a valid network: " +
                    built.error().message());
     }
-    rebuilt = std::make_unique<Network>(std::move(built).value());
+    rebuilt = std::make_shared<const Network>(std::move(built).value());
   }
-  std::unique_ptr<Harc> rebuilt_harc = std::move(prebuilt_harc);
+  std::shared_ptr<const Harc> rebuilt_harc = std::move(patched->rebuilt_harc);
   {
     obs::StageSpan reverify_span("pipeline.reverify");
     if (rebuilt_harc == nullptr) {
-      rebuilt_harc = std::make_unique<Harc>(Harc::Build(*rebuilt));
+      rebuilt_harc = std::make_shared<const Harc>(Harc::Build(*rebuilt));
     }
-    report->residual_graph_violations = FindViolations(*rebuilt_harc, policies);
+    report->residual_graph_violations =
+        patched->rebuilt_violations.has_value()
+            ? std::move(*patched->rebuilt_violations)
+            : FindViolations(*rebuilt_harc, policies);
   }
   if (options.validate_with_simulator) {
     obs::StageSpan simulate_span("pipeline.simulate");
@@ -310,23 +311,20 @@ Status Cpr::CloseLoop(const std::vector<Policy>& policies, const CprOptions& opt
   // Traffic classes impacted: tcETGs whose edge set changed (§8.3). The
   // universes enumerate candidate edges identically because devices, links,
   // subnets, and processes are unchanged by translation.
-  const int subnet_count = harc_.SubnetCount();
-  for (SubnetId s = 0; s < subnet_count; ++s) {
-    for (SubnetId d = 0; d < subnet_count; ++d) {
-      if (s == d) {
-        continue;
-      }
-      const Etg& before = harc_.tcetg(s, d);
-      const Etg& after = rebuilt_harc->tcetg(s, d);
-      for (CandidateEdgeId e = 0; e < harc_.universe().EdgeCount(); ++e) {
-        if (before.IsPresent(e) != after.IsPresent(e)) {
+  {
+    obs::StageSpan impact_span("pipeline.impact");
+    const int subnet_count = harc_.SubnetCount();
+    for (SubnetId s = 0; s < subnet_count; ++s) {
+      for (SubnetId d = 0; d < subnet_count; ++d) {
+        if (s != d && !harc_.tcetg(s, d).SamePresence(rebuilt_harc->tcetg(s, d))) {
           ++report->traffic_classes_impacted;
-          break;
         }
       }
     }
   }
 
+  report->repaired_network = std::move(rebuilt);
+  report->repaired_harc = std::move(rebuilt_harc);
   return Status::Ok();
 }
 

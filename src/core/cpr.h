@@ -36,6 +36,8 @@ struct DirtySet;
 struct RepairSession;
 }  // namespace incremental
 
+struct PatchedRepair;
+
 // How the pre-repair lint gate treats the input configurations.
 enum class LintMode {
   kGate,      // Default: refuse to repair when lint reports errors
@@ -106,6 +108,13 @@ struct CprReport {
   std::vector<Policy> residual_simulation_violations;
   bool simulated = false;
 
+  // The network and HARC rebuilt from patched_configs, the snapshot
+  // residual_graph_violations was checked on; null when nothing was
+  // translated. cprd keeps them as the next incremental baseline
+  // (incremental::SessionFromVerified) instead of building them again.
+  std::shared_ptr<const Network> repaired_network;
+  std::shared_ptr<const Harc> repaired_harc;
+
   // Lint gate findings on the *input* configurations (empty when
   // LintMode::kOff), and the post-translate audit: error/warning findings
   // the patched configurations have that the originals did not. A correct
@@ -171,12 +180,12 @@ class Cpr {
   Result<CprReport> RepairImpl(const std::vector<Policy>& policies,
                                const CprOptions& options) const;
 
-  // Shared tail of Repair(): rebuild (unless a pre-pass hands over its
-  // already re-verified network/HARC), re-verify, simulate, lint-audit, and
-  // count impacted traffic classes.
+  // Shared tail of Repair(): rebuild and re-verify (unless a pre-pass hands
+  // over its already rebuilt network/HARC and, when no fallback rebuilt them
+  // since, its verdict), simulate, lint-audit, and count impacted traffic
+  // classes.
   Status CloseLoop(const std::vector<Policy>& policies, const CprOptions& options,
-                   std::unique_ptr<Network> prebuilt_network,
-                   std::unique_ptr<Harc> prebuilt_harc, CprReport* report) const;
+                   PatchedRepair* patched, CprReport* report) const;
 
   std::unique_ptr<Network> network_;
   Harc harc_;

@@ -7,7 +7,7 @@
 // same lineage arrives, the incremental engine diffs it against the
 // session's configurations and reuses every clean group's verdict,
 // re-solving only the dirty ones. A session holds no solver state and is
-// never mutated after BuildSession.
+// never mutated once built.
 
 #ifndef CPR_SRC_INCREMENTAL_SESSION_H_
 #define CPR_SRC_INCREMENTAL_SESSION_H_
@@ -40,8 +40,8 @@ struct GroupRecord {
 // (network->configs() is the diffing baseline); `harc` is built over it and
 // is cloned — never mutated — by later re-repairs.
 struct RepairSession {
-  std::unique_ptr<const Network> network;
-  std::unique_ptr<const Harc> harc;
+  std::shared_ptr<const Network> network;
+  std::shared_ptr<const Harc> harc;
   NetworkAnnotations annotations;
   std::vector<Policy> policies;
   std::vector<GroupRecord> groups;
@@ -55,6 +55,17 @@ Result<std::shared_ptr<RepairSession>> BuildSession(std::vector<Config> configs,
                                                     NetworkAnnotations annotations,
                                                     std::vector<Policy> policies,
                                                     const RepairOptions& options);
+
+// The same session from a snapshot the caller has already built and
+// checked: `violations` are the policies violated on `harc` (a repair's
+// residual_graph_violations with its repaired_network/repaired_harc). Costs
+// only the group partition.
+std::shared_ptr<RepairSession> SessionFromVerified(std::shared_ptr<const Network> network,
+                                                   std::shared_ptr<const Harc> harc,
+                                                   NetworkAnnotations annotations,
+                                                   std::vector<Policy> policies,
+                                                   const std::vector<Policy>& violations,
+                                                   const RepairOptions& options);
 
 }  // namespace cpr::incremental
 

@@ -497,30 +497,17 @@ Daemon::Attempt Daemon::ExecuteOnce(Request* request) {
   }
 
   if (request->spec.incremental != "off") {
-    // Retain a session for the next same-lineage submission: built from the
-    // repaired snapshot when this run produced a sound patch, from the
-    // verified input snapshot when nothing was violated. Any other outcome
-    // keeps the old session — its baseline is still the last sound state.
+    // Retain a session for the next same-lineage submission: the snapshot
+    // this run rebuilt from its sound patch (no violations, or none left)
+    // and verified, taken over as it is. Any other outcome keeps the old
+    // session — its baseline is still the last sound state.
     std::shared_ptr<const incremental::RepairSession> next;
-    if (report->Sound() && !request->deadline.Expired()) {
-      std::vector<Config> configs = report->patched_configs.empty()
-                                        ? pipeline->network().configs()
-                                        : report->patched_configs;
-      NetworkAnnotations annotations;
-      if (!report->patched_configs.empty()) {
-        annotations = report->patched_annotations;
-      } else if (Result<NetworkAnnotations> parsed =
-                     ParseSpecAnnotations(inputs->policy_text);
-                 parsed.ok()) {
-        annotations = std::move(*parsed);
-      }
-      Result<std::shared_ptr<incremental::RepairSession>> rebuilt =
-          incremental::BuildSession(std::move(configs), std::move(annotations),
-                                    *policies, options->repair);
-      if (rebuilt.ok()) {
-        next = std::move(*rebuilt);
-        serve_metrics_.counter("serve.sessions.retained").Increment();
-      }
+    if (report->Sound() && report->repaired_harc != nullptr &&
+        !request->deadline.Expired()) {
+      next = incremental::SessionFromVerified(
+          report->repaired_network, report->repaired_harc, report->patched_annotations,
+          *policies, report->residual_graph_violations, options->repair);
+      serve_metrics_.counter("serve.sessions.retained").Increment();
     }
     if (next == nullptr) {
       next = std::move(session);

@@ -79,94 +79,111 @@ std::optional<MaxSatSolver::Solution> MaxSatSolver::Solve() {
     }
     return best;
   };
+  auto stratum_satisfied = [this](int64_t threshold) {
+    for (const Soft& soft : softs_) {
+      if (soft.weight >= threshold && !sat_.ModelValue(soft.selector)) {
+        return false;
+      }
+    }
+    return true;
+  };
   int64_t threshold = next_threshold(std::numeric_limits<int64_t>::max());
-  if (threshold == 0) {
-    threshold = 1;  // No softs: single hard SAT call below.
-  }
 
   while (true) {
-    std::vector<Lit> assumptions;
-    std::vector<size_t> assumed_index;  // soft index per assumption
-    for (size_t i = 0; i < softs_.size(); ++i) {
-      if (softs_[i].weight >= threshold) {
-        assumptions.push_back(softs_[i].selector);
-        assumed_index.push_back(i);
+    // The SAT engine holds a model here (the hard check's or the last
+    // stratum's) and no clause was added since. A stratum whose selectors
+    // that model already sets would return the same model with no conflict
+    // and no proof event: the saved phases equal the model, and every
+    // propagation under them agrees with it. So it is skipped, not solved.
+    while (threshold > 0 && stratum_satisfied(threshold)) {
+      ++stats_.strata_skipped;
+      threshold = next_threshold(threshold);
+    }
+    if (threshold == 0) {
+      Solution solution;
+      solution.cost = cost;
+      solution.model.resize(static_cast<size_t>(sat_.VarCount()));
+      for (BoolVar v = 0; v < sat_.VarCount(); ++v) {
+        solution.model[static_cast<size_t>(v)] = sat_.ModelValue(v);
       }
+      return solution;
     }
 
-    ++stats_.sat_calls;
-    SatResult result = sat_.Solve(assumptions);
-    if (result == SatResult::kUnknown) {
-      timed_out_ = true;
-      return std::nullopt;
-    }
-    if (result == SatResult::kSat) {
-      int64_t lower = next_threshold(threshold);
-      if (lower == 0) {
-        Solution solution;
-        solution.cost = cost;
-        solution.model.resize(static_cast<size_t>(sat_.VarCount()));
-        for (BoolVar v = 0; v < sat_.VarCount(); ++v) {
-          solution.model[static_cast<size_t>(v)] = sat_.ModelValue(v);
+    // Solve the stratum: relax cores until its assumptions are satisfiable.
+    while (true) {
+      std::vector<Lit> assumptions;
+      std::vector<size_t> assumed_index;  // soft index per assumption
+      for (size_t i = 0; i < softs_.size(); ++i) {
+        if (softs_[i].weight >= threshold) {
+          assumptions.push_back(softs_[i].selector);
+          assumed_index.push_back(i);
         }
-        return solution;
       }
-      threshold = lower;
-      continue;
-    }
 
-    // UNSAT: the failed assumptions form a core over soft selectors.
-    const std::vector<Lit>& core = sat_.UnsatCore();
-    ++stats_.cores;
-    std::vector<size_t> core_softs;
-    for (Lit failed : core) {
-      for (size_t j = 0; j < assumptions.size(); ++j) {
-        if (assumptions[j] == failed) {
-          core_softs.push_back(assumed_index[j]);
-          break;
+      ++stats_.sat_calls;
+      SatResult result = sat_.Solve(assumptions);
+      if (result == SatResult::kUnknown) {
+        timed_out_ = true;
+        return std::nullopt;
+      }
+      if (result == SatResult::kSat) {
+        break;
+      }
+
+      // UNSAT: the failed assumptions form a core over soft selectors.
+      const std::vector<Lit>& core = sat_.UnsatCore();
+      ++stats_.cores;
+      std::vector<size_t> core_softs;
+      for (Lit failed : core) {
+        for (size_t j = 0; j < assumptions.size(); ++j) {
+          if (assumptions[j] == failed) {
+            core_softs.push_back(assumed_index[j]);
+            break;
+          }
         }
       }
-    }
-    if (core_softs.empty()) {
-      // Core involves no soft clause: hard constraints are unsatisfiable.
-      return std::nullopt;
-    }
-    if (log_ != nullptr) {
-      // The core lemma AnalyzeFinal just logged is the last event; record it
-      // with the member indices before relaxation appends input clauses.
-      CertIteration iteration;
-      iteration.core_event = static_cast<int64_t>(log_->size()) - 1;
-      iteration.members.reserve(core_softs.size());
+      if (core_softs.empty()) {
+        // Core involves no soft clause: hard constraints are unsatisfiable.
+        return std::nullopt;
+      }
+      if (log_ != nullptr) {
+        // The core lemma AnalyzeFinal just logged is the last event; record
+        // it with the member indices before relaxation appends input clauses.
+        CertIteration iteration;
+        iteration.core_event = static_cast<int64_t>(log_->size()) - 1;
+        iteration.members.reserve(core_softs.size());
+        for (size_t i : core_softs) {
+          iteration.members.push_back(static_cast<int64_t>(i));
+        }
+        cert_trail_.iterations.push_back(std::move(iteration));
+      }
+
+      int64_t wmin = std::numeric_limits<int64_t>::max();
       for (size_t i : core_softs) {
-        iteration.members.push_back(static_cast<int64_t>(i));
+        wmin = std::min(wmin, softs_[i].weight);
       }
-      cert_trail_.iterations.push_back(std::move(iteration));
-    }
+      cost += wmin;
 
-    int64_t wmin = std::numeric_limits<int64_t>::max();
-    for (size_t i : core_softs) {
-      wmin = std::min(wmin, softs_[i].weight);
-    }
-    cost += wmin;
+      // Fu-Malik relaxation: every core member gets a relaxed clone of
+      // weight wmin; exactly one clone may use its relaxation.
+      std::vector<Lit> relax_lits;
+      relax_lits.reserve(core_softs.size());
+      for (size_t i : core_softs) {
+        BoolVar relax = sat_.NewVar();
+        relax_lits.push_back(Lit(relax, false));
 
-    // Fu-Malik relaxation: every core member gets a relaxed clone of weight
-    // wmin; exactly one clone may use its relaxation.
-    std::vector<Lit> relax_lits;
-    relax_lits.reserve(core_softs.size());
-    for (size_t i : core_softs) {
-      BoolVar relax = sat_.NewVar();
-      relax_lits.push_back(Lit(relax, false));
-
-      Soft relaxed;
-      relaxed.clause = softs_[i].clause;
-      relaxed.clause.push_back(Lit(relax, false));
-      relaxed.weight = wmin;
-      relaxed.selector = MakeSelector(relaxed.clause);
-      softs_[i].weight -= wmin;
-      softs_.push_back(std::move(relaxed));
+        Soft relaxed;
+        relaxed.clause = softs_[i].clause;
+        relaxed.clause.push_back(Lit(relax, false));
+        relaxed.weight = wmin;
+        relaxed.selector = MakeSelector(relaxed.clause);
+        softs_[i].weight -= wmin;
+        softs_.push_back(std::move(relaxed));
+      }
+      AddExactlyOne(&sat_, relax_lits);
+      // Weight-0 softs drop out of future assumption sets automatically.
     }
-    AddExactlyOne(&sat_, relax_lits);
-    // Weight-0 softs drop out of future assumption sets automatically.
+    threshold = next_threshold(threshold);
   }
 }
 

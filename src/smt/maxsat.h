@@ -11,7 +11,9 @@
 // UNSAT take the failed-assumption core, split the minimum weight off every
 // core member, relax each with a fresh variable, assert exactly-one over the
 // relaxation variables, and repeat. Weight strata are processed highest
-// first so expensive softs are settled before cheap ones.
+// first so expensive softs are settled before cheap ones. A stratum whose
+// selectors the last model already sets is skipped: solving it would only
+// return that model again.
 
 #ifndef CPR_SRC_SMT_MAXSAT_H_
 #define CPR_SRC_SMT_MAXSAT_H_
@@ -30,6 +32,7 @@ namespace cpr {
 struct MaxSatStats {
   int cores = 0;
   int sat_calls = 0;
+  int strata_skipped = 0;  // Strata the last model already satisfied.
 };
 
 class MaxSatSolver {

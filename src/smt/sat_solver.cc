@@ -1,6 +1,7 @@
 #include "smt/sat_solver.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -15,6 +16,7 @@ constexpr double kRescaleThreshold = 1e100;
 constexpr int kRestartBase = 100;
 // The arena is compacted once deleted clauses hold this share of its words.
 constexpr double kGarbageShare = 0.2;
+constexpr size_t kWordBits = 64;
 
 Lit WordLit(uint32_t word) { return Lit::FromCode(static_cast<int32_t>(word)); }
 uint32_t LitWord(Lit lit) { return static_cast<uint32_t>(lit.code()); }
@@ -50,8 +52,11 @@ BoolVar SatSolver::NewVar() {
   model_.push_back(LBool::kUndef);
   watches_.emplace_back();
   watches_.emplace_back();
-  heap_index_.push_back(-1);
-  HeapInsert(var);
+  heap_index_.push_back(kNeverBumped);
+  if (index_free_.size() * kWordBits < assigns_.size()) {
+    index_free_.push_back(0);
+  }
+  SetIndexBit(var);
   return var;
 }
 
@@ -216,6 +221,13 @@ SatSolver::ClauseRef SatSolver::Propagate() {
 
 void SatSolver::BumpVar(BoolVar var) {
   size_t v = static_cast<size_t>(var);
+  if (heap_index_[v] == kNeverBumped) {
+    // The variable moves from the index tier to the heap. Analyze bumps only
+    // assigned variables, so Backtrack inserts it once it is unassigned.
+    assert(assigns_[v] != LBool::kUndef);
+    heap_index_[v] = -1;
+    ClearIndexBit(var);
+  }
   activity_[v] += var_inc_;
   if (activity_[v] > kRescaleThreshold) {
     for (double& a : activity_) {
@@ -283,6 +295,32 @@ void SatSolver::HeapSiftDown(size_t pos) {
   }
   heap_[pos] = var;
   heap_index_[static_cast<size_t>(var)] = static_cast<int>(pos);
+}
+
+void SatSolver::SetIndexBit(BoolVar var) {
+  const size_t word = static_cast<size_t>(var) / kWordBits;
+  index_free_[word] |= uint64_t{1} << (static_cast<size_t>(var) % kWordBits);
+  index_cursor_ = std::min(index_cursor_, word);
+}
+
+void SatSolver::ClearIndexBit(BoolVar var) {
+  index_free_[static_cast<size_t>(var) / kWordBits] &=
+      ~(uint64_t{1} << (static_cast<size_t>(var) % kWordBits));
+}
+
+BoolVar SatSolver::NextIndexVar() {
+  for (; index_cursor_ < index_free_.size(); ++index_cursor_) {
+    uint64_t& word = index_free_[index_cursor_];
+    while (word != 0) {
+      const BoolVar var =
+          static_cast<BoolVar>(index_cursor_ * kWordBits + std::countr_zero(word));
+      if (assigns_[static_cast<size_t>(var)] == LBool::kUndef) {
+        return var;
+      }
+      word &= word - 1;  // Assigned: Backtrack sets the bit again.
+    }
+  }
+  return -1;
 }
 
 BoolVar SatSolver::HeapPop() {
@@ -452,7 +490,11 @@ void SatSolver::Backtrack(int target_level) {
     size_t v = static_cast<size_t>(trail_[i].var());
     assigns_[v] = LBool::kUndef;
     reason_[v] = kNoReason;
-    HeapInsert(trail_[i].var());
+    if (heap_index_[v] == kNeverBumped) {
+      SetIndexBit(trail_[i].var());
+    } else {
+      HeapInsert(trail_[i].var());
+    }
   }
   trail_.resize(new_size);
   trail_limits_.resize(static_cast<size_t>(target_level));
@@ -460,17 +502,31 @@ void SatSolver::Backtrack(int target_level) {
 }
 
 Lit SatSolver::PickBranchLit() {
-  while (!heap_.empty()) {
-    BoolVar var = HeapPop();
-    size_t v = static_cast<size_t>(var);
-    if (assigns_[v] != LBool::kUndef) {
-      continue;  // Assigned; Backtrack re-inserts it on unassignment.
-    }
-    ++stats_.heap_picks;
-    return Lit(var, !saved_phase_[v]);
+  while (!heap_.empty() && assigns_[static_cast<size_t>(heap_.front())] != LBool::kUndef) {
+    HeapPop();  // Assigned; Backtrack re-inserts it on unassignment.
   }
-  // Every unassigned variable is in the heap (NewVar inserts it, Backtrack
-  // restores it), so this scan only runs when the instance is fully
+  // Every never-bumped variable has activity 0, so the index tier can come
+  // first only when the heap top's activity is 0 too; the lower index then
+  // decides.
+  BoolVar var = -1;
+  if (!heap_.empty() && activity_[static_cast<size_t>(heap_.front())] > 0.0) {
+    var = HeapPop();
+  } else {
+    const BoolVar index_var = NextIndexVar();
+    if (!heap_.empty() && (index_var < 0 || heap_.front() < index_var)) {
+      var = HeapPop();
+    } else if (index_var >= 0) {
+      var = index_var;
+      ClearIndexBit(var);
+      ++stats_.index_picks;
+    }
+  }
+  if (var >= 0) {
+    ++stats_.heap_picks;
+    return Lit(var, !saved_phase_[static_cast<size_t>(var)]);
+  }
+  // Every unassigned variable is in one of the tiers (NewVar and Backtrack
+  // put it there), so this scan only runs when the instance is fully
   // assigned — or if that invariant is ever broken, which fallback_picks
   // makes visible.
   for (BoolVar var = 0; var < VarCount(); ++var) {
@@ -673,6 +729,9 @@ SatResult SatSolver::Solve(const std::vector<Lit>& assumptions) {
         return SatResult::kSat;
       }
       ++stats_.decisions;
+      if (decision_observer_) {
+        decision_observer_(next.var(), activity_, assigns_);
+      }
     }
     trail_limits_.push_back(static_cast<int>(trail_.size()));
     Enqueue(next, kNoReason);

@@ -7,6 +7,12 @@
 // solving under assumptions with extraction of a failed-assumption core —
 // the primitive the core-guided MaxSAT engine (smt/maxsat.h) is built on.
 //
+// Decisions take the unassigned variable of highest activity, ties to the
+// lower index. Only variables a conflict has bumped sit in the activity
+// heap; the others all have activity 0 and are taken in index order from a
+// bitset (see the private section), so a solve without conflicts costs no
+// heap operation.
+//
 // Clauses live in one flat arena (a word buffer; see the private section),
 // so neither adding nor learning a clause allocates a heap block of its
 // own.
@@ -19,6 +25,7 @@
 #define CPR_SRC_SMT_SAT_SOLVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <span>
 #include <vector>
@@ -42,9 +49,11 @@ struct SatStats {
   int64_t learnt_reductions = 0; // ReduceLearnts calls.
   int64_t learnt_literals = 0;   // Total literals across learnt clauses.
   int64_t activity_rescales = 0; // VSIDS activity rescale events.
-  int64_t heap_picks = 0;        // Decisions served by the order heap.
+  int64_t heap_picks = 0;        // Decisions served by the decision order
+                                 // (either tier).
   int64_t fallback_picks = 0;    // Decisions that fell back to a linear
-                                 // scan — nonzero indicates a stale heap.
+                                 // scan — nonzero indicates a stale order.
+  int64_t index_picks = 0;       // The index tier's share of heap_picks.
 };
 
 class SatSolver {
@@ -91,6 +100,14 @@ class SatSolver {
   // forced after a handful of conflicts instead of ~4500 (the natural decay
   // rate). Used by the order-heap rescale regression test.
   void SetVarActivityIncrementForTest(double increment) { var_inc_ = increment; }
+
+  // Test hook: called with every decision the order serves, before it is
+  // assigned, and the activities and assignment it was chosen from.
+  using DecisionObserver = std::function<void(
+      BoolVar decision, std::span<const double> activity, std::span<const LBool> assigns)>;
+  void SetDecisionObserverForTest(DecisionObserver observer) {
+    decision_observer_ = std::move(observer);
+  }
 
   // Attaches a proof log (smt/proof_log.h). While set, every AddClause input,
   // learnt clause, assumption-core clause, learnt deletion, and root-UNSAT
@@ -143,6 +160,10 @@ class SatSolver {
   void Backtrack(int level);
   Lit PickBranchLit();
   void BumpVar(BoolVar var);
+  // The lowest-index unassigned never-bumped variable, or -1.
+  BoolVar NextIndexVar();
+  void SetIndexBit(BoolVar var);
+  void ClearIndexBit(BoolVar var);
   void BumpClause(ClauseRef ref);
   void DecayActivities();
   void ReduceLearnts();
@@ -172,16 +193,31 @@ class SatSolver {
   std::vector<int> trail_limits_;
   size_t propagate_head_ = 0;
 
-  // Decision heuristics. The order heap is an indexed binary max-heap of
-  // variables (MiniSat's): heap_index_[v] is v's position in heap_, or -1
-  // when v is absent, so each variable appears at most once and a bump
-  // sifts it up in place. Every unassigned variable is in the heap: NewVar
-  // inserts it, PickBranchLit pops it, Backtrack re-inserts it.
+  // Decision heuristics, in two tiers that together hold every unassigned
+  // variable.
+  // - Heap tier: the variables some conflict has bumped, in an indexed
+  //   binary max-heap (MiniSat's): heap_index_[v] is v's position in heap_,
+  //   -1 when v is absent, or kNeverBumped while v is in the index tier, so
+  //   each variable appears at most once and a bump sifts it up in place.
+  //   PickBranchLit pops it, Backtrack re-inserts it, an assigned one is
+  //   dropped when it reaches the top.
+  // - Index tier: the never-bumped variables, whose activity is 0. Bit v of
+  //   index_free_ is set for every unassigned one (NewVar and Backtrack set
+  //   it; an assigned one is cleared lazily when a scan reaches it), and no
+  //   set bit lies in a word below index_cursor_, so a scan starts where the
+  //   last one stopped unless a backtrack freed a lower variable.
+  // PickBranchLit takes whichever tier's first variable comes first under
+  // the order: a bumped variable's activity can underflow to 0 after a
+  // rescale, and then the lower index wins.
   std::vector<double> activity_;
   double var_inc_ = 1.0;
   double clause_inc_ = 1.0;
   std::vector<BoolVar> heap_;
   std::vector<int> heap_index_;
+  static constexpr int kNeverBumped = -2;
+  std::vector<uint64_t> index_free_;
+  size_t index_cursor_ = 0;
+  DecisionObserver decision_observer_;
 
   // Scratch buffers, reused across calls: AddClause's simplified copy,
   // Analyze's learnt clause and the literals whose seen_ flags it must

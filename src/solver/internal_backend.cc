@@ -119,6 +119,8 @@ void FlushSolverCounters(const SatStats& sat, const MaxSatStats& wpm,
       {"cdcl.fallback_picks", static_cast<double>(sat.fallback_picks)},
       {"maxsat.cores", static_cast<double>(wpm.cores)},
       {"maxsat.sat_calls", static_cast<double>(wpm.sat_calls)},
+      {"cdcl.index_picks", static_cast<double>(sat.index_picks)},
+      {"maxsat.strata_skipped", static_cast<double>(wpm.strata_skipped)},
   };
   obs::Registry& registry = obs::CurrentRegistry();
   for (const auto& [name, value] : result->solver_counters) {

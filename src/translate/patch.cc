@@ -42,9 +42,10 @@ Status TranslateOnto(const Network& input, const Network& base, const RepairEdit
 }
 
 // Rebuilds the network and HARC from the patched configurations, from
-// scratch.
+// scratch. The new HARC has not been checked yet.
 Status Rebuild(PatchedRepair* repair) {
   obs::StageSpan span("pipeline.rebuild");
+  repair->rebuilt_violations.reset();
   Result<Network> built = Network::Build(repair->patched_configs, repair->patched_annotations);
   if (!built.ok()) {
     return Error("patched configurations no longer form a valid network: " +
@@ -83,6 +84,7 @@ Result<std::vector<Policy>> PatchAndReverify(const Network& network,
     return patched.error();
   }
   std::vector<Policy> residual = FindViolations(*repair->rebuilt_harc, policies);
+  repair->rebuilt_violations = residual;
   if (residual.empty()) {
     return residual;
   }

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,10 @@ struct PatchedRepair {
   // pipeline to reuse instead of rebuilding; null on the plain path.
   std::unique_ptr<Network> rebuilt_network;
   std::unique_ptr<Harc> rebuilt_harc;
+  // The policies violated on rebuilt_harc, when PatchAndReverify checked
+  // that HARC; nullopt when nothing checked it (the plain path, or a
+  // fallback rebuilt the snapshot after the check).
+  std::optional<std::vector<Policy>> rebuilt_violations;
 
   // kPartial still carries a (sub)repair; kUnsat, kTimeout and the other
   // failures carry nothing to translate.
@@ -82,8 +87,9 @@ enum class FallbackScope {
 // edits are translated on top, and the final snapshot is rebuilt. A fallback
 // without a repair leaves the first-phase patch standing and
 // `repair->status` at the fallback's status; each pre-pass applies its own
-// rule to that. Returns the policies the first phase left violated (empty:
-// no fallback ran).
+// rule to that. `repair->rebuilt_violations` keeps the check's verdict
+// unless the fallback rebuilt the snapshot after it. Returns the policies
+// the first phase left violated (empty: no fallback ran).
 Result<std::vector<Policy>> PatchAndReverify(const Network& network,
                                              const std::vector<Policy>& policies,
                                              const RepairOptions& fallback_options,

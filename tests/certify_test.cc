@@ -586,6 +586,34 @@ TEST_P(CertifyWorkloadTest, CompressedRepairStaysCertified) {
   ExpectSolvedOnEngine(report->stats);
 }
 
+// The MaxSAT engine skips a stratum whose selectors the last model already
+// sets; those solves log no proof event for it. Their certificates must
+// still validate. A 4-port PC1 fat-tree's problems skip strata.
+TEST(CertifySkippedStrataTest, CertificatesStillValidate) {
+  FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kAlwaysBlocked, 40, 7);
+  Network network = MustBuildNetwork(scenario.broken_configs, scenario.annotations);
+  Harc harc = Harc::Build(network);
+  RepairOptions options;
+  options.backend = BackendChoice::kInternal;
+  options.certify = certify::CertifyMode::kOn;
+  options.num_threads = 2;
+  Result<RepairOutcome> outcome = ComputeRepair(harc, scenario.policies, options);
+  ASSERT_TRUE(outcome.ok()) << outcome.error().message();
+  EXPECT_EQ(outcome->status, RepairStatus::kSuccess);
+  EXPECT_GT(outcome->stats.certify_checked, 0);
+  EXPECT_EQ(outcome->stats.certify_failed, 0);
+  int64_t skipped = 0;
+  for (const ProblemReport& report : outcome->stats.problem_reports) {
+    EXPECT_EQ(report.backend, "internal-maxsat");
+    EXPECT_EQ(report.certification, MaxSmtResult::Certification::kVerified)
+        << report.certify_message;
+    for (const auto& [name, value] : report.solver_counters) {
+      skipped += name == "maxsat.strata_skipped" ? static_cast<int64_t>(value) : 0;
+    }
+  }
+  EXPECT_GT(skipped, 0) << "no problem skipped a stratum";
+}
+
 INSTANTIATE_TEST_SUITE_P(BothBackends, CertifyWorkloadTest,
                          ::testing::Values(BackendChoice::kInternal,
                                            BackendChoice::kZ3),

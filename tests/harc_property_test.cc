@@ -136,5 +136,37 @@ TEST(HarcPropertyTest, HierarchyHoldsOnGeneratedNetworks) {
   }
 }
 
+// The pipeline counts impacted traffic classes by comparing presence
+// bitmaps whole (Etg::SamePresence). Every edge must count, on both sides
+// of a word boundary, and weights must not.
+TEST(HarcPropertyTest, SamePresenceSeesEveryEdge) {
+  DatacenterNetwork dc = GenerateDatacenterNetwork(41, 9, 1.0);
+  std::vector<Config> configs;
+  for (const std::string& text : dc.broken_configs) {
+    Result<Config> parsed = ParseConfig(text);
+    ASSERT_TRUE(parsed.ok());
+    configs.push_back(std::move(parsed).value());
+  }
+  Result<Network> network = Network::Build(std::move(configs), dc.annotations);
+  ASSERT_TRUE(network.ok());
+  Harc harc = Harc::Build(*network);
+  const Etg& base = harc.tcetg(0, 1);
+  const int edges = harc.universe().EdgeCount();
+  ASSERT_GT(edges, 129);
+  for (CandidateEdgeId e : {0, 63, 64, 127, 128, edges - 1}) {
+    Etg changed = base;
+    changed.SetPresent(e, !base.IsPresent(e));
+    EXPECT_FALSE(base.SamePresence(changed)) << "edge " << e;
+    EXPECT_EQ(changed.PresentEdgeCount(),
+              base.PresentEdgeCount() + (base.IsPresent(e) ? -1 : 1));
+    changed.SetPresent(e, base.IsPresent(e));
+    EXPECT_TRUE(base.SamePresence(changed)) << "edge " << e;
+  }
+  Etg reweighted = base;
+  reweighted.SetWeight(0, 7.5);
+  EXPECT_TRUE(base.SamePresence(reweighted));
+  EXPECT_FALSE(base == reweighted);
+}
+
 }  // namespace
 }  // namespace cpr

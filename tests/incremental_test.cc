@@ -187,6 +187,55 @@ TEST(SessionTest, RecordsSatisfiedVerdictsPerGroup) {
   EXPECT_TRUE(any_unsatisfied);
 }
 
+void ExpectSameGroups(const RepairSession& got, const RepairSession& want) {
+  ASSERT_EQ(got.groups.size(), want.groups.size());
+  for (size_t i = 0; i < got.groups.size(); ++i) {
+    SCOPED_TRACE("group " + std::to_string(i));
+    EXPECT_EQ(got.groups[i].dsts, want.groups[i].dsts);
+    EXPECT_EQ(got.groups[i].tcs, want.groups[i].tcs);
+    EXPECT_TRUE(got.groups[i].policies == want.groups[i].policies);
+    EXPECT_EQ(got.groups[i].satisfied, want.groups[i].satisfied);
+  }
+}
+
+// cprd keeps a sound repair's own rebuilt and verified snapshot as its
+// session (SessionFromVerified). It must record exactly what a from-scratch
+// BuildSession records: for the repaired snapshot, and for a snapshot with
+// violations.
+TEST(SessionTest, VerifiedSnapshotRecordsWhatABuildRecords) {
+  FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kAlwaysBlocked, 4, 11);
+  CprOptions options;
+  options.repair = InternalOptions();
+  options.validate_with_simulator = false;
+  Result<Cpr> broken = Cpr::FromConfigTexts(scenario.broken_configs, scenario.annotations);
+  ASSERT_TRUE(broken.ok()) << broken.error().message();
+  Result<CprReport> repaired = broken->Repair(scenario.policies, options);
+  ASSERT_TRUE(repaired.ok() && repaired->Sound());
+  ASSERT_NE(repaired->repaired_harc, nullptr);
+  std::shared_ptr<RepairSession> handed = SessionFromVerified(
+      repaired->repaired_network, repaired->repaired_harc, repaired->patched_annotations,
+      scenario.policies, repaired->residual_graph_violations, options.repair);
+  Result<std::shared_ptr<RepairSession>> built =
+      BuildSession(repaired->patched_configs, repaired->patched_annotations,
+                   scenario.policies, options.repair);
+  ASSERT_TRUE(built.ok()) << built.error().message();
+  ExpectSameGroups(*handed, **built);
+  EXPECT_TRUE(handed->network->configs() == (*built)->network->configs());
+
+  Result<Network> network =
+      Network::Build(ParseAll(scenario.broken_configs), scenario.annotations);
+  ASSERT_TRUE(network.ok()) << network.error().message();
+  auto shared = std::make_shared<const Network>(std::move(network).value());
+  auto harc = std::make_shared<const Harc>(Harc::Build(*shared));
+  std::shared_ptr<RepairSession> unsound =
+      SessionFromVerified(shared, harc, scenario.annotations, scenario.policies,
+                          FindViolations(*harc, scenario.policies), options.repair);
+  built = BuildSession(ParseAll(scenario.broken_configs), scenario.annotations,
+                       scenario.policies, options.repair);
+  ASSERT_TRUE(built.ok()) << built.error().message();
+  ExpectSameGroups(*unsound, **built);
+}
+
 // ---------------------------------------------------------------------------
 // HARC preparation.
 
@@ -256,6 +305,10 @@ TEST(IncrementalEngineTest, UnchangedSnapshotReusesEveryGroupVerdict) {
   EXPECT_EQ(outcome->stats.groups_resolved, 0);
   EXPECT_FALSE(outcome->stats.fell_back);
   EXPECT_EQ(outcome->result->lines_changed, 0);
+  // The re-verify's verdict rides along, so the pipeline need not check the
+  // same HARC again.
+  ASSERT_TRUE(outcome->result->rebuilt_violations.has_value());
+  EXPECT_TRUE(outcome->result->rebuilt_violations->empty());
 }
 
 TEST(IncrementalEngineTest, ConcreteReverifyCatchesUnderMarkedDirtAndFallsBack) {
@@ -292,6 +345,9 @@ TEST(IncrementalEngineTest, ConcreteReverifyCatchesUnderMarkedDirtAndFallsBack) 
     ASSERT_NE(outcome->result->rebuilt_harc, nullptr);
     EXPECT_TRUE(
         FindViolations(*outcome->result->rebuilt_harc, scenario.policies).empty());
+    // The fallback rebuilt the snapshot after the re-verify, so no verdict
+    // rides along: the pipeline checks the final HARC itself.
+    EXPECT_FALSE(outcome->result->rebuilt_violations.has_value());
 
     const RepairStats& stats = outcome->result->stats;
     int verified = 0;

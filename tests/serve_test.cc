@@ -20,6 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include "config/printer.h"
+#include "core/cpr.h"
+#include "core/policy_spec.h"
+#include "incremental/session.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "serve/checkpoint.h"
@@ -27,6 +31,8 @@
 #include "serve/snapshot_cache.h"
 #include "serve/wire.h"
 #include "tests/example_network.h"
+#include "tests/rebreak.h"
+#include "workload/fattree.h"
 
 namespace cpr::serve {
 namespace {
@@ -62,6 +68,15 @@ class ServeFixture {
 
   void WriteConfig(const std::string& name, const std::string& text) {
     std::ofstream((root_ / "configs" / name)) << text;
+  }
+  // Replaces the whole snapshot, keeping `texts` in order (the daemon loads
+  // the files sorted by name).
+  void ReplaceConfigs(const std::vector<std::string>& texts) {
+    fs::remove_all(root_ / "configs");
+    fs::create_directories(root_ / "configs");
+    for (size_t i = 0; i < texts.size(); ++i) {
+      WriteConfig((i < 10 ? "r0" : "r") + std::to_string(i) + ".cfg", texts[i]);
+    }
   }
 
   // Writes another policy file next to the default one; returns its path.
@@ -706,6 +721,120 @@ TEST(DaemonTest, IncrementalOffNeverRetainsASession) {
   EXPECT_EQ((*daemon)->GetStatus(decision.id)->status, "success");
   EXPECT_EQ((*daemon)->session_count(), 0u)
       << "incremental=off must neither use nor retain sessions";
+}
+
+// The daemon's own pipeline for `spec`, run in process on the fixture's
+// current snapshot: the same inputs, options and engine, on `baseline` when
+// one is given.
+Result<CprReport> RepairLikeTheDaemon(
+    const RequestSpec& spec, std::vector<Policy>* policies,
+    std::shared_ptr<const incremental::RepairSession> baseline = nullptr) {
+  Result<CprOptions> options = ToCprOptions(spec);
+  Result<RequestInputs> inputs = LoadRequestInputs(spec);
+  if (!options.ok() || !inputs.ok()) {
+    return Error("bad spec or inputs");
+  }
+  Result<NetworkAnnotations> annotations = ParseSpecAnnotations(inputs->policy_text);
+  if (!annotations.ok()) {
+    return annotations.error();
+  }
+  Result<Cpr> pipeline =
+      baseline == nullptr
+          ? Cpr::FromConfigTexts(inputs->config_texts, *annotations)
+          : Cpr::FromBaseline(std::move(baseline), inputs->config_texts, *annotations);
+  if (!pipeline.ok()) {
+    return pipeline.error();
+  }
+  Result<std::vector<Policy>> parsed = ParseSpecPolicies(inputs->policy_text, pipeline->network());
+  if (!parsed.ok()) {
+    return parsed.error();
+  }
+  *policies = *parsed;
+  return pipeline->Repair(*policies, *options);
+}
+
+// A sound result's session is the snapshot the repair itself rebuilt and
+// verified, not a second build of the patched configurations: one
+// harc.build span covers the patched snapshot. The next edit is then served
+// exactly as a session built from scratch (incremental::BuildSession)
+// serves it.
+TEST(DaemonTest, SoundResultRetainsItsVerifiedRebuildAsTheSession) {
+  ServeFixture fx("handover");
+  // A PC1 fat-tree: its repair adds denies, so removing one of them is a
+  // one-router edit the incremental engine re-solves.
+  FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kAlwaysBlocked, 4, 11);
+  fx.ReplaceConfigs(scenario.broken_configs);
+  Result<Cpr> broken = Cpr::FromConfigTexts(scenario.broken_configs, scenario.annotations);
+  ASSERT_TRUE(broken.ok()) << broken.error().message();
+  std::ofstream(fx.policy_file()) << FormatPolicySpec(scenario.policies, broken->network());
+  Result<std::unique_ptr<Daemon>> daemon = Daemon::Start(fx.Options());
+  ASSERT_TRUE(daemon.ok()) << daemon.error().message();
+
+  AdmissionDecision first = (*daemon)->Submit(fx.Spec("gen0"));
+  ASSERT_TRUE(first.admitted) << first.error;
+  ASSERT_TRUE((*daemon)->WaitFor(first.id, 30));
+  std::optional<RequestStatus> status = (*daemon)->GetStatus(first.id);
+  ASSERT_TRUE(status.has_value());
+  ASSERT_EQ(status->status, "success");
+  EXPECT_EQ((*daemon)->session_count(), 1u);
+  obs::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(status->stats_json, &doc, &error)) << error;
+  const obs::JsonValue* stages = doc.Find("stages");
+  ASSERT_NE(stages, nullptr);
+  double repair_start = -1;
+  for (const obs::JsonValue& stage : stages->items) {
+    if (stage.Find("name")->string == "pipeline.repair") {
+      repair_start = stage.Find("start_seconds")->AsDouble();
+    }
+  }
+  ASSERT_GE(repair_start, 0) << "no pipeline.repair span";
+  int patched_builds = 0;
+  for (const obs::JsonValue& stage : stages->items) {
+    patched_builds += stage.Find("name")->string == "harc.build" &&
+                      stage.Find("start_seconds")->AsDouble() >= repair_start;
+  }
+  EXPECT_EQ(patched_builds, 1) << status->stats_json;
+
+  // The client applies the patch (the same repair, in process) and removes
+  // one repair deny.
+  std::vector<Policy> policies;
+  Result<CprReport> repaired = RepairLikeTheDaemon(fx.Spec(), &policies);
+  ASSERT_TRUE(repaired.ok() && repaired->Sound());
+  EXPECT_EQ(repaired->lines_changed, doc.Find("repair")->Find("lines_changed")->AsInt());
+  std::vector<std::string> texts;
+  for (const Config& config : repaired->patched_configs) {
+    texts.push_back(PrintConfig(config));
+  }
+  ASSERT_TRUE(RemoveOneRepairDeny(&texts)) << "no repaired router carries a repair deny";
+  fx.ReplaceConfigs(texts);
+
+  const int64_t reused_before = GlobalCounter("serve.sessions.reused");
+  AdmissionDecision second = (*daemon)->Submit(fx.Spec("gen1"));
+  ASSERT_TRUE(second.admitted) << second.error;
+  ASSERT_TRUE((*daemon)->WaitFor(second.id, 30));
+  status = (*daemon)->GetStatus(second.id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(GlobalCounter("serve.sessions.reused"), reused_before + 1);
+  ASSERT_TRUE(obs::ParseJson(status->stats_json, &doc, &error)) << error;
+
+  Result<std::shared_ptr<incremental::RepairSession>> session = incremental::BuildSession(
+      repaired->patched_configs, repaired->patched_annotations, policies,
+      ToCprOptions(fx.Spec())->repair);
+  ASSERT_TRUE(session.ok()) << session.error().message();
+  Result<CprReport> expected = RepairLikeTheDaemon(fx.Spec(), &policies, *session);
+  ASSERT_TRUE(expected.ok()) << expected.error().message();
+  ASSERT_TRUE(expected->incremental.applied);
+  EXPECT_EQ(status->status, RepairStatusName(expected->status));
+  const obs::JsonValue& repair = *doc.Find("repair");
+  EXPECT_EQ(repair.Find("lines_changed")->AsInt(), expected->lines_changed);
+  EXPECT_EQ(repair.Find("predicted_cost")->AsInt(), expected->predicted_cost);
+  const obs::JsonValue& incremental = *doc.Find("incremental");
+  EXPECT_TRUE(incremental.Find("applied")->bool_value);
+  EXPECT_EQ(incremental.Find("groups_total")->AsInt(), expected->incremental.groups_total);
+  EXPECT_EQ(incremental.Find("groups_reused")->AsInt(), expected->incremental.groups_reused);
+  EXPECT_EQ(incremental.Find("groups_resolved")->AsInt(),
+            expected->incremental.groups_resolved);
 }
 
 // ---- daemon: telemetry (DESIGN.md §14) ------------------------------------

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -182,6 +184,59 @@ TEST(SatSolverTest, RandomInstancesMatchBruteForce) {
   }
 }
 
+// The premise of MaxSAT's stratum skip: after kSat, a Solve under
+// assumptions the model already satisfies returns that model with no new
+// conflict and no proof event, because the saved phases equal the model and
+// every propagation under them agrees with it. Random 3-SAT near the phase
+// transition, so most instances have learnt clauses by then.
+TEST(SatSolverTest, AssumptionsTheModelSatisfiesReturnThatModel) {
+  std::mt19937 rng(4242);
+  const int vars = 40;
+  int checked = 0;
+  int with_learnts = 0;
+  for (int round = 0; round < 200; ++round) {
+    SatSolver solver;
+    ProofLog log;
+    solver.SetProofLog(&log);
+    for (int v = 0; v < vars; ++v) {
+      solver.NewVar();
+    }
+    const int clauses = 150 + static_cast<int>(rng() % 30);  // ratio 3.75 - 4.5
+    for (int c = 0; c < clauses; ++c) {
+      Clause clause;
+      for (int k = 0; k < 3; ++k) {
+        clause.push_back(Lit(static_cast<BoolVar>(rng() % vars), (rng() & 1) != 0));
+      }
+      solver.AddClause(clause);
+    }
+    if (solver.Solve() != SatResult::kSat) {
+      continue;
+    }
+    ++checked;
+    with_learnts += solver.stats().conflicts > 0 ? 1 : 0;
+    std::vector<bool> model;
+    std::vector<Lit> assumptions;  // A random subset of the model, shuffled.
+    for (BoolVar v = 0; v < vars; ++v) {
+      model.push_back(solver.ModelValue(v));
+      if ((rng() & 1) != 0) {
+        assumptions.push_back(Lit(v, !model.back()));
+      }
+    }
+    std::shuffle(assumptions.begin(), assumptions.end(), rng);
+    const int64_t conflicts = solver.stats().conflicts;
+    const size_t events = log.size();
+    ASSERT_EQ(solver.Solve(assumptions), SatResult::kSat) << "round " << round;
+    EXPECT_EQ(solver.stats().conflicts, conflicts) << "round " << round;
+    EXPECT_EQ(log.size(), events) << "round " << round;
+    for (BoolVar v = 0; v < vars; ++v) {
+      EXPECT_EQ(solver.ModelValue(v), model[static_cast<size_t>(v)])
+          << "round " << round << " var " << v;
+    }
+  }
+  EXPECT_GT(checked, 50);
+  EXPECT_GT(with_learnts, 25);
+}
+
 TEST(CardinalityTest, AtMostOneEnumeration) {
   for (int n : {2, 3, 5, 8}) {
     SatSolver solver;
@@ -298,10 +353,41 @@ int64_t BruteForceMaxSatCost(const std::vector<Clause>& hard,
   return best;
 }
 
+// Solves `solver` (holding exactly `hard` and `soft` over `vars`
+// variables) and checks the answer against brute force: the optimum, and a
+// model that satisfies every hard clause and incurs exactly that cost.
+void ExpectBruteForceOptimum(MaxSatSolver* solver, const std::vector<Clause>& hard,
+                             const std::vector<std::pair<Clause, int64_t>>& soft,
+                             int vars) {
+  int64_t expected = BruteForceMaxSatCost(hard, soft, vars);
+  auto solution = solver->Solve();
+  if (expected < 0) {
+    EXPECT_FALSE(solution.has_value());
+    return;
+  }
+  ASSERT_TRUE(solution.has_value());
+  EXPECT_EQ(solution->cost, expected);
+  uint32_t assignment = 0;
+  for (int v = 0; v < vars; ++v) {
+    if (solution->model[static_cast<size_t>(v)]) {
+      assignment |= 1u << v;
+    }
+  }
+  EXPECT_TRUE(EvalCnf(hard, assignment));
+  int64_t model_cost = 0;
+  for (const auto& [clause, weight] : soft) {
+    if (!EvalCnf({clause}, assignment)) {
+      model_cost += weight;
+    }
+  }
+  EXPECT_EQ(model_cost, solution->cost);
+}
+
 TEST(MaxSatTest, RandomInstancesMatchBruteForce) {
   std::mt19937 rng(777);
   const int vars = 8;
   for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
     std::vector<Clause> hard;
     std::vector<std::pair<Clause, int64_t>> soft;
     MaxSatSolver solver;
@@ -328,30 +414,92 @@ TEST(MaxSatTest, RandomInstancesMatchBruteForce) {
       soft.emplace_back(clause, weight);
       solver.AddSoft(clause, weight);
     }
-    int64_t expected = BruteForceMaxSatCost(hard, soft, vars);
-    auto solution = solver.Solve();
-    if (expected < 0) {
-      EXPECT_FALSE(solution.has_value()) << "round " << round;
-    } else {
-      ASSERT_TRUE(solution.has_value()) << "round " << round;
-      EXPECT_EQ(solution->cost, expected) << "round " << round;
-      // The model must satisfy all hard clauses and incur exactly `cost`.
-      uint32_t assignment = 0;
-      for (int v = 0; v < vars; ++v) {
-        if (solution->model[static_cast<size_t>(v)]) {
-          assignment |= 1u << v;
-        }
-      }
-      EXPECT_TRUE(EvalCnf(hard, assignment)) << "round " << round;
-      int64_t model_cost = 0;
-      for (const auto& [clause, weight] : soft) {
-        if (!EvalCnf({clause}, assignment)) {
-          model_cost += weight;
-        }
-      }
-      EXPECT_EQ(model_cost, solution->cost) << "round " << round;
-    }
+    ExpectBruteForceOptimum(&solver, hard, soft, vars);
   }
+}
+
+// Stratum skipping on a hand-built instance. Hard x -> y; softs x (weight
+// 3), !z (2) and !y (1). Without conflicts, decisions take the index order
+// and the saved phase (false at first), so the hard check's model is all
+// false. Stratum 3 assumes x and gets x, y true and z false. That model
+// already sets !z, so stratum 2 is skipped. Stratum 1 adds !y: the core
+// {x, !y} costs 1, and the relaxed stratum is satisfiable.
+TEST(MaxSatTest, SkipsStrataTheLastModelSatisfies) {
+  MaxSatSolver solver;
+  BoolVar x = solver.NewVar();
+  BoolVar y = solver.NewVar();
+  BoolVar z = solver.NewVar();
+  solver.AddHard({Lit(x, true), Lit(y, false)});
+  solver.AddSoft({Lit(x, false)}, 3);
+  solver.AddSoft({Lit(z, true)}, 2);
+  solver.AddSoft({Lit(y, true)}, 1);
+  auto solution = solver.Solve();
+  ASSERT_TRUE(solution.has_value());
+  EXPECT_EQ(solution->cost, 1);
+  EXPECT_TRUE(solution->model[static_cast<size_t>(x)]);
+  EXPECT_FALSE(solution->model[static_cast<size_t>(z)]);
+  EXPECT_EQ(solver.stats().strata_skipped, 1);
+  EXPECT_EQ(solver.stats().cores, 1);
+  // The hard check, stratum 3, and stratum 1 before and after its core.
+  EXPECT_EQ(solver.stats().sat_calls, 4);
+
+  // The same strata with every soft on the side of the all-false model: the
+  // hard check's model satisfies all three, and no stratum is solved.
+  MaxSatSolver agreeing;
+  BoolVar a = agreeing.NewVar();
+  BoolVar b = agreeing.NewVar();
+  BoolVar c = agreeing.NewVar();
+  agreeing.AddHard({Lit(a, true), Lit(b, false)});
+  agreeing.AddSoft({Lit(a, true)}, 3);
+  agreeing.AddSoft({Lit(c, true)}, 2);
+  agreeing.AddSoft({Lit(b, true)}, 1);
+  solution = agreeing.Solve();
+  ASSERT_TRUE(solution.has_value());
+  EXPECT_EQ(solution->cost, 0);
+  EXPECT_EQ(agreeing.stats().strata_skipped, 3);
+  EXPECT_EQ(agreeing.stats().sat_calls, 1);
+}
+
+// Random weighted instances over many strata: with skipping, the optimum
+// still equals brute force and the model still costs exactly the optimum.
+TEST(MaxSatTest, StratumSkipKeepsRandomOptimaExact) {
+  std::mt19937 rng(2023);
+  const int vars = 10;
+  const int64_t weights[] = {1, 2, 3, 5, 8, 13, 21};
+  int skipped = 0;
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<Clause> hard;
+    std::vector<std::pair<Clause, int64_t>> soft;
+    MaxSatSolver solver;
+    for (int v = 0; v < vars; ++v) {
+      solver.NewVar();
+    }
+    const int hard_count = 3 + static_cast<int>(rng() % 6);
+    const int soft_count = 4 + static_cast<int>(rng() % 9);
+    for (int c = 0; c < hard_count; ++c) {
+      Clause clause;
+      const int len = 2 + static_cast<int>(rng() % 2);
+      for (int k = 0; k < len; ++k) {
+        clause.push_back(Lit(static_cast<BoolVar>(rng() % vars), (rng() & 1) != 0));
+      }
+      hard.push_back(clause);
+      solver.AddHard(clause);
+    }
+    for (int c = 0; c < soft_count; ++c) {
+      Clause clause;
+      const int len = 1 + static_cast<int>(rng() % 2);
+      for (int k = 0; k < len; ++k) {
+        clause.push_back(Lit(static_cast<BoolVar>(rng() % vars), (rng() & 1) != 0));
+      }
+      const int64_t weight = weights[rng() % std::size(weights)];
+      soft.emplace_back(clause, weight);
+      solver.AddSoft(clause, weight);
+    }
+    ExpectBruteForceOptimum(&solver, hard, soft, vars);
+    skipped += solver.stats().strata_skipped;
+  }
+  EXPECT_GT(skipped, 100);
 }
 
 // Pigeonhole principle PHP(holes+1, holes): unsatisfiable, and forces the
@@ -383,25 +531,97 @@ std::vector<Clause> PigeonholeCnf(SatSolver* solver, int holes) {
   return cnf;
 }
 
-// Regression for VSIDS activity rescales: a rescale changes every
-// activity_[v] at once (and underflow can turn distinct activities into
-// ties), so the indexed order heap is rebuilt; it must keep serving every
-// decision across rescales instead of degrading to the O(V) linear scan.
+// Checks every decision against the order: the unassigned variable of
+// highest activity, ties to the lower index. Also remembers which variables
+// were ever seen with a positive activity, so a test can tell a bumped
+// variable whose activity underflowed to 0 from a never-bumped one.
+struct DecisionOrderCheck {
+  int decisions = 0;
+  int out_of_order = 0;
+  int underflowed_picks = 0;  // Decisions of a once-positive, now-0 variable.
+  std::vector<uint8_t> was_positive;
+
+  void Observe(BoolVar decision, std::span<const double> activity,
+               std::span<const LBool> assigns) {
+    ++decisions;
+    was_positive.resize(activity.size(), 0);
+    const size_t d = static_cast<size_t>(decision);
+    if (activity[d] == 0.0 && was_positive[d] != 0) {
+      ++underflowed_picks;
+    }
+    for (size_t v = 0; v < activity.size(); ++v) {
+      if (activity[v] > 0.0) {
+        was_positive[v] = 1;
+      }
+      if (v == d || assigns[v] != LBool::kUndef) {
+        continue;
+      }
+      if (activity[v] > activity[d] || (activity[v] == activity[d] && v < d)) {
+        ++out_of_order;
+      }
+    }
+  }
+};
+
+// Adds `cnf` guarded by `selector` (selector -> clause).
+void AddGuarded(SatSolver* solver, BoolVar selector, const std::vector<Clause>& cnf) {
+  for (Clause clause : cnf) {
+    clause.push_back(Lit(selector, true));
+    ASSERT_TRUE(solver->AddClause(clause));
+  }
+}
+
+// Regression for VSIDS activity rescales, and the decision order across both
+// tiers: bumped variables in the heap, never-bumped ones in index order. A
+// rescale changes every activity_[v] at once (and underflow can turn
+// distinct activities into ties, or a bumped variable's activity into 0), so
+// the indexed order heap is rebuilt; every decision must still follow the
+// order, and none may fall back to the O(V) linear scan.
 TEST(SatSolverTest, OrderHeapSurvivesActivityRescale) {
+  DecisionOrderCheck check;  // Outlives the solver, whose observer refers to it.
   SatSolver solver;
+  solver.SetDecisionObserverForTest(
+      [&check](BoolVar decision, std::span<const double> activity,
+               std::span<const LBool> assigns) {
+        check.Observe(decision, activity, assigns);
+      });
+  // Free variables in no clause, never bumped, interleaved with the rest.
+  const auto add_free = [&solver] {
+    for (int i = 0; i < 5; ++i) {
+      solver.NewVar();
+    }
+  };
+  add_free();
+  BoolVar small = solver.NewVar();
+  AddGuarded(&solver, small, PigeonholeCnf(&solver, 5));
+  add_free();
+  BoolVar large = solver.NewVar();
+  AddGuarded(&solver, large, PigeonholeCnf(&solver, 7));
+  add_free();
+
+  // A tiny increment keeps the bumps of PHP(6,5) far below 1e-224, so the
+  // rescale below underflows their activities to 0.
+  solver.SetVarActivityIncrementForTest(1e-300);
+  EXPECT_EQ(solver.Solve({Lit(small, false)}), SatResult::kUnsat);
   // A near-threshold increment forces a rescale within a few conflicts
   // (kRescaleThreshold is 1e100).
   solver.SetVarActivityIncrementForTest(1e99);
-  for (const Clause& clause : PigeonholeCnf(&solver, 7)) {
-    ASSERT_TRUE(solver.AddClause(clause));
-  }
-  EXPECT_EQ(solver.Solve(), SatResult::kUnsat);
+  EXPECT_EQ(solver.Solve({Lit(large, false)}), SatResult::kUnsat);
+  ASSERT_GE(solver.stats().activity_rescales, 1) << "test did not exercise a rescale";
+  // Without assumptions the instance is satisfiable; the search now decides
+  // bumped, underflowed and never-bumped variables side by side.
+  EXPECT_EQ(solver.Solve(), SatResult::kSat);
+
   const SatStats& stats = solver.stats();
-  ASSERT_GE(stats.activity_rescales, 1) << "test did not exercise a rescale";
   EXPECT_GT(stats.decisions, 0);
+  EXPECT_EQ(check.decisions, stats.decisions);
+  EXPECT_EQ(check.out_of_order, 0);
+  EXPECT_GT(check.underflowed_picks, 0) << "no bumped variable underflowed to 0";
   EXPECT_GT(stats.heap_picks, 0);
-  // The heap invariant: every unassigned variable is in the order heap, so
-  // the linear-scan fallback never fires.
+  EXPECT_GT(stats.index_picks, 0);
+  EXPECT_GT(stats.heap_picks, stats.index_picks);
+  // Both tiers together hold every unassigned variable, so the linear-scan
+  // fallback never fires.
   EXPECT_EQ(stats.fallback_picks, 0);
   EXPECT_EQ(stats.heap_picks, stats.decisions);
 }
