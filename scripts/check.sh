@@ -308,22 +308,30 @@ build/tools/cpr gen "$incr_dir/base" --fattree 4 --broken --pc pc1 --policies 4 
 build/tools/cpr repair "$incr_dir/base" "$incr_dir/policies" \
   --backend internal --no-simulate --out "$incr_dir/repaired" >/dev/null
 # One-router edit: revert a single repaired ACL deny, re-breaking one
-# traffic class. The incremental run against the repaired baseline must
-# reuse every clean group and finish sound without the full-repair fallback.
+# traffic class, or else a deny of a repair-created CPR-FLT prefix-list,
+# re-breaking one destination (the rule of tests/rebreak.h). The incremental
+# run against the repaired baseline must reuse every clean group and finish
+# sound without the full-repair fallback.
 cp -r "$incr_dir/repaired" "$incr_dir/edited"
 python3 - "$incr_dir/edited" <<'EOF'
 import pathlib, sys
-for path in sorted(pathlib.Path(sys.argv[1]).glob("*.cfg")):
-    text = path.read_text()
-    if "access-group" not in text:
-        continue
-    lines = text.splitlines(keepends=True)
-    for i, line in enumerate(lines):
-        if line.startswith(" deny ip 10."):
-            del lines[i]
-            path.write_text("".join(lines))
-            sys.exit(0)
-sys.exit("no repaired ACL deny found to revert")
+paths = sorted(pathlib.Path(sys.argv[1]).glob("*.cfg"))
+def revert(is_deny, bound_acl_only):
+    for path in paths:
+        text = path.read_text()
+        if bound_acl_only and "access-group" not in text:
+            continue
+        lines = text.splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            if is_deny(line):
+                del lines[i]
+                path.write_text("".join(lines))
+                return True
+    return False
+if not (revert(lambda line: line.startswith(" deny ip 10."), True) or
+        revert(lambda line: line.startswith("ip prefix-list CPR-FLT") and " deny " in line,
+               False)):
+    sys.exit("no repaired ACL or CPR-FLT deny found to revert")
 EOF
 incr_json="$incr_dir/stats.json"
 build/tools/cpr repair "$incr_dir/edited" "$incr_dir/policies" \

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -61,28 +62,6 @@ bool Mappable(const RepairProblem& group) {
   });
 }
 
-// Everything the base (unpinned) partition depends on: per-device role
-// signatures plus the link/subnet shape WL refinement walks. Two networks
-// with equal keys refine to the same block structure, so a cached partition
-// may survive a snapshot change (differ-small reuse).
-std::string StructureKey(const Network& network) {
-  std::ostringstream key;
-  for (const Device& device : network.devices()) {
-    key << device.name << '\x1f'
-        << RoleSignature(network.configs()[static_cast<size_t>(device.config_index)])
-        << '\x1e';
-  }
-  for (const TopoLink& link : network.links()) {
-    key << 'L' << link.device_a << ' ' << link.interface_a << ' ' << link.device_b << ' '
-        << link.interface_b << ' ' << (link.waypoint ? 1 : 0) << '\x1e';
-  }
-  for (const Subnet& subnet : network.subnets()) {
-    key << 'S' << subnet.prefix.ToString() << ' ' << subnet.device << ' '
-        << subnet.interface << '\x1e';
-  }
-  return key.str();
-}
-
 }  // namespace
 
 Partition CompressionCache::Base(const Network& network) {
@@ -136,25 +115,13 @@ int64_t CompressionCache::misses() const {
   return misses_;
 }
 
-int64_t CompressionCache::partition_reuses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return partition_reuses_;
-}
-
 void CompressionCache::RebindLocked(const Network& network) {
   if (generation_ == network.generation()) {
     return;
   }
-  std::string structure = StructureKey(network);
-  const bool reuse = base_.has_value() && structure == structure_;
   generation_ = network.generation();
-  structure_ = std::move(structure);
+  base_.reset();
   quotients_.clear();
-  if (reuse) {
-    ++partition_reuses_;
-  } else {
-    base_.reset();
-  }
 }
 
 Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Harc& harc,
@@ -200,15 +167,36 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
     return decline("no violations");
   }
 
-  // --- Per-group quotient solves, merged into the lifted first phase.
+  // The quotient solves the paper's objective alone: representative line
+  // counts do not describe the lifted repair (see line_tie_break). Partial
+  // merging stays on, so a group that fails never withholds another's edits.
+  RepairOptions quotient_options = options;
+  quotient_options.compress = CompressOptions{};
+  quotient_options.line_tie_break = false;
+  quotient_options.allow_partial = true;
+  const Deadline deadline = options.deadline.unbounded()
+                                ? Deadline::After(options.deadline_seconds)
+                                : options.deadline;
+
+  // A mappable group on its quotient; its problems are [first, end) of the
+  // quotient pass.
+  struct QuotientGroup {
+    const RepairProblem* group = nullptr;
+    std::shared_ptr<const Quotient> quotient;
+    size_t first = 0;
+    size_t end = 0;
+  };
+  std::vector<QuotientGroup> quotient_groups;
+  std::vector<HarcProblem> quotient_problems;
   PatchedRepair result;
-  std::set<std::string> emitted;
   std::vector<Policy> compressed_policies;
   double ratio_sum = 0;
   {
     obs::StageSpan span("pipeline.compress");
+    // 1. The quotient problems of every mappable group.
+    int destinations_skipped = 0;
     for (const RepairProblem& group : groups) {
-      if (!Mappable(group) || options.deadline.Expired()) {
+      if (!Mappable(group) || deadline.Expired()) {
         continue;  // The concrete fallback repair picks these up.
       }
       const SubnetPins pins = GroupPins(group);
@@ -251,38 +239,60 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
       if (quotient_policies.size() != group.policies.size()) {
         continue;
       }
-      RepairOptions quotient_options = options;
-      quotient_options.compress = CompressOptions{};
-      quotient_options.num_threads = 1;
-      // The quotient solves the paper's objective alone: representative line
-      // counts do not describe the lifted repair (see line_tie_break).
-      quotient_options.line_tie_break = false;
-      Timer solve_timer;
-      Result<RepairOutcome> solved =
-          ComputeRepair(*quotient->harc, quotient_policies, quotient_options);
-      stats.solve_seconds += solve_timer.Seconds();
-      if (!solved.ok() || !solved->HasRepair() ||
-          solved->status == RepairStatus::kPartial) {
+      QuotientGroup entry{&group, quotient, quotient_problems.size(), 0};
+      for (RepairProblem& problem :
+           PartitionProblems(*quotient->harc, quotient_policies, quotient_options)) {
+        quotient_problems.push_back({quotient->harc.get(), std::move(problem)});
+      }
+      entry.end = quotient_problems.size();
+      // A mappable group has one destination (only PC4 and PC5 join
+      // destinations); when none of its policies is violated on the
+      // quotient, that destination is skipped.
+      destinations_skipped += entry.first == entry.end ? 1 : 0;
+      quotient_groups.push_back(std::move(entry));
+    }
+
+    // 2. One pass solves them all, on the request's workers or the shared
+    // solve pool.
+    Timer solve_timer;
+    Result<RepairOutcome> solved =
+        SolveProblemSet(quotient_problems, quotient_options, deadline);
+    stats.solve_seconds = solve_timer.Seconds();
+    if (!solved.ok()) {
+      return decline("quotient solve failed: " + solved.error().message());
+    }
+    std::vector<ProblemReport>& reports = solved->stats.problem_reports;
+
+    // 3. Lift each group whose problems all solved, in group order. A group
+    // with a failed problem contributes nothing; its policies stay violated
+    // and the concrete fallback repairs them. Its reports stay in the stats.
+    std::set<std::string> emitted;
+    for (const QuotientGroup& entry : quotient_groups) {
+      const auto first = reports.begin() + static_cast<std::ptrdiff_t>(entry.first);
+      const auto end = reports.begin() + static_cast<std::ptrdiff_t>(entry.end);
+      for (auto report = first; report != end; ++report) {
+        std::vector<SubnetId> concrete_dsts;
+        for (SubnetId dst : report->dsts) {
+          const auto& members = entry.quotient->subnet_members[static_cast<size_t>(dst)];
+          concrete_dsts.insert(concrete_dsts.end(), members.begin(), members.end());
+        }
+        report->dsts = std::move(concrete_dsts);
+      }
+      if (!std::all_of(first, end, [](const ProblemReport& r) { return r.solved(); })) {
         continue;
       }
-
-      LiftedEdits lift = LiftEdits(*quotient, solved->edits, &emitted);
+      RepairEdits abstract_edits;
+      for (auto report = first; report != end; ++report) {
+        AppendEdits(report->edits, &abstract_edits);
+        result.predicted_cost += report->cost;
+      }
+      LiftedEdits lift = LiftEdits(*entry.quotient, abstract_edits, &emitted);
       stats.abstract_edits += lift.abstract_edits;
       stats.lifted_edits += lift.concrete_edits;
       AppendEdits(lift.edits, &result.edits);
 
-      // Merge stats and provenance, renumbering problems sequentially and
-      // re-expressing every id in concrete terms.
-      const int problem_base = static_cast<int>(result.stats.problem_reports.size());
-      for (ProblemReport& report : solved->stats.problem_reports) {
-        std::vector<SubnetId> concrete_dsts;
-        for (SubnetId dst : report.dsts) {
-          const auto& members = quotient->subnet_members[static_cast<size_t>(dst)];
-          concrete_dsts.insert(concrete_dsts.end(), members.begin(), members.end());
-        }
-        report.dsts = std::move(concrete_dsts);
-      }
-      MergeRepairStats(std::move(solved->stats), &result.stats);
+      // Provenance names concrete constructs, destinations and policies.
+      const RepairProblem& group = *entry.group;
       std::vector<std::string> dst_names;
       for (SubnetId dst : group.dsts) {
         dst_names.push_back(network.subnets()[static_cast<size_t>(dst)].prefix.ToString());
@@ -292,6 +302,10 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
         policy_names.push_back(policy.ToString(network));
       }
       for (const obs::ProvenanceChain& chain : solved->provenance.chains) {
+        const size_t problem = static_cast<size_t>(chain.problem);
+        if (problem < entry.first || problem >= entry.end) {
+          continue;
+        }
         auto fanout = lift.fanout.find(chain.construct);
         if (fanout == lift.fanout.end()) {
           continue;
@@ -301,30 +315,23 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
           fanned.construct = construct;
           fanned.edit = description;
           fanned.soft_label = construct;
-          fanned.problem = problem_base + std::max(chain.problem, 0);
           fanned.dsts = dst_names;
           fanned.policies = policy_names;
           result.provenance.chains.push_back(std::move(fanned));
-        }
-      }
-      for (const std::string& orphan : solved->provenance.orphan_edits) {
-        auto fanout = lift.fanout.find(orphan);
-        if (fanout != lift.fanout.end()) {
-          for (const auto& [construct, description] : fanout->second) {
-            (void)description;
-            result.provenance.orphan_edits.push_back(construct);
-          }
-        } else {
-          result.provenance.orphan_edits.push_back("quotient:" + orphan);
         }
       }
 
       compressed_policies.insert(compressed_policies.end(), group.policies.begin(),
                                  group.policies.end());
       ++stats.groups_compressed;
-      ratio_sum += quotient->Ratio();
-      result.predicted_cost += solved->predicted_cost;
+      ratio_sum += entry.quotient->Ratio();
     }
+    for (const std::string& orphan : solved->provenance.orphan_edits) {
+      result.provenance.orphan_edits.push_back("quotient:" + orphan);
+    }
+    result.provenance.unsat_cores = std::move(solved->provenance.unsat_cores);
+    result.stats = std::move(solved->stats);
+    result.stats.destinations_skipped = destinations_skipped;
     if (stats.groups_compressed > 0) {
       std::ostringstream ratio;
       ratio << ratio_sum / stats.groups_compressed;

@@ -3,9 +3,11 @@
 // The pre-pass mirrors the repair engine's per-destination problem
 // partition. For each destination group it pins the group's policy-endpoint
 // subnets, computes a pinned behavioral partition (partition.h), builds the
-// representative quotient network (quotient.h), solves the group's policies
-// on the small instance with the unchanged repair engine, and lifts the
-// abstract edits back to every concrete router (lift.h). The lifted patch
+// representative quotient network (quotient.h) and partitions the group's
+// mapped policies into quotient problems. One problem-set pass of the
+// unchanged repair engine solves every group's quotient problems together;
+// each group whose problems all solved then has its abstract edits lifted
+// back to every concrete router (lift.h), in group order. The lifted patch
 // then goes through the shared patch, re-verify and fallback routine
 // (translate/patch.h): translated and re-verified on the *concrete* network,
 // with every policy still violated — whether its group was never
@@ -79,11 +81,6 @@ struct CompressionOutcome {
 // generation id is the identity guard — a different network clears the
 // cache. (A raw pointer guard would ABA: a freed network whose address is
 // recycled by a new Network would false-hit and serve a stale partition.)
-//
-// Partitions do survive a generation change when the new network's roles are
-// structurally identical (same per-device identity-abstracted canonical
-// texts and pin keys): differ-small edits that leave every role signature
-// intact rebind the cache instead of reseeding it.
 class CompressionCache {
  public:
   Partition Base(const Network& network);
@@ -93,25 +90,16 @@ class CompressionCache {
 
   int64_t hits() const;
   int64_t misses() const;
-  // Times a generation change kept the cached partition because every role
-  // signature matched (the differ-small reuse path).
-  int64_t partition_reuses() const;
 
  private:
   void RebindLocked(const Network& network);
 
   mutable std::mutex mu_;
   uint64_t generation_ = 0;
-  // Structural key of the cached snapshot (device names + role signatures +
-  // link/subnet shape); a new generation with an identical key keeps base_.
-  // Quotients embed the old network's concrete addresses, so they are always
-  // dropped on rebind.
-  std::string structure_;
   std::optional<Partition> base_;
   std::map<std::string, std::shared_ptr<const Quotient>> quotients_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
-  int64_t partition_reuses_ = 0;
 };
 
 // Runs the pre-pass under `options.compress` (never called with mode kOff).

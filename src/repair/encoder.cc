@@ -376,16 +376,13 @@ ExprId RepairEncoder::WaypointExpr(LinkId link) {
   ExprId expr;
   if (universe_.network().links()[static_cast<size_t>(link)].waypoint) {
     expr = system_.True();
-  } else if (options_.allow_waypoint_placement) {
+  } else {
     BVarId var = system_.NewBool("wp_link" + std::to_string(link));
     new_waypoint_vars_.emplace(link, var);
     expr = system_.Var(var);
     // Placing a waypoint costs one change (paper: "plus a firewall").
-    system_.AddSoft(system_.Not(expr), options_.waypoint_weight,
-                    WaypointConstructKey(link),
+    system_.AddSoft(system_.Not(expr), kWaypointWeight, WaypointConstructKey(link),
                     options_.line_tie_break ? kWaypointLines : 0);
-  } else {
-    expr = system_.False();
   }
   waypoint_exprs_.emplace(link, expr);
   return expr;
@@ -399,7 +396,7 @@ IVarId RepairEncoder::CostVar(const CandidateEdge& edge) {
   }
   IVarId var = system_.NewInt(
       "cost_l" + std::to_string(edge.link) + "_d" + std::to_string(edge.device), 1,
-      options_.max_edge_cost);
+      kMaxEdgeCost);
   cost_vars_.emplace(key, var);
   // Keeping the configured cost avoids one configuration change (on the
   // egress interface's device).
@@ -756,7 +753,7 @@ Status RepairEncoder::EncodePc4(const Policy& policy) {
   // header comment for why the paper's pred/scost implications are
   // strengthened).
   const int64_t scost_max =
-      static_cast<int64_t>(options_.max_edge_cost) * universe_.VertexCount();
+      static_cast<int64_t>(kMaxEdgeCost) * universe_.VertexCount();
   std::vector<IVarId> scost(static_cast<size_t>(universe_.VertexCount()));
   for (VertexId v = 0; v < universe_.VertexCount(); ++v) {
     scost[static_cast<size_t>(v)] =

@@ -3,6 +3,7 @@
 #ifndef CPR_SRC_REPAIR_OPTIONS_H_
 #define CPR_SRC_REPAIR_OPTIONS_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -16,18 +17,25 @@ namespace compress {
 class CompressionCache;
 }  // namespace compress
 
-// Where the repair engine runs per-problem solver work. By default it spawns
-// its own `num_threads` workers per call; a long-running server instead
-// installs a shared executor (serve/thread_pool.h) so the per-dst problems
-// of *concurrent* repair requests shard across one bounded pool instead of
-// multiplying threads per request. Implementations must run every submitted
-// task exactly once; tasks never block on other tasks, so a fixed-size pool
-// cannot deadlock.
+// Where the repair engine runs its drain tasks (repair.h, SolveProblemSet).
+// By default it starts `num_threads` local threads per solve pass; a
+// long-running server instead installs a shared executor
+// (serve/thread_pool.h) so the drain tasks of *concurrent* repair requests
+// share one bounded pool instead of multiplying threads per request.
+// Implementations must run every submitted task exactly once; tasks never
+// block on other tasks, so a fixed-size pool cannot deadlock.
 class SolveTaskRunner {
  public:
   virtual ~SolveTaskRunner() = default;
   virtual void Submit(std::function<void()> task) = 0;
 };
+
+// Repairs may place a new waypoint on any link (paper footnote 2: virtual
+// network functions let waypoints be added on arbitrary links); each
+// placement is a soft constraint of this weight.
+inline constexpr int64_t kWaypointWeight = 1;
+// Upper bound for PC4 edge-cost variables.
+inline constexpr int kMaxEdgeCost = 64;
 
 // Which MaxSMT problem granularity to use (paper §5.3).
 //
@@ -91,7 +99,8 @@ struct RepairOptions {
   Granularity granularity = Granularity::kPerDst;
   BackendChoice backend = BackendChoice::kZ3;
   MinimizeObjective objective = MinimizeObjective::kLines;
-  // Worker threads for per-dst problems (the paper runs 10 in parallel).
+  // Drain tasks per solve pass, at most one per problem (the paper runs 10
+  // solves in parallel).
   int num_threads = 1;
   // Per-problem solver time limit; <= 0 means unbounded.
   double timeout_seconds = 0;
@@ -107,16 +116,13 @@ struct RepairOptions {
   // expired deadline makes the repair return RepairStatus::kDeadlineExceeded
   // immediately, before any solver work.
   Deadline deadline = Deadline::Never();
-  // Shared cross-request solve executor; nullptr means "spawn num_threads
-  // local workers" (the CLI path). See SolveTaskRunner above.
+  // Shared cross-request solve executor; nullptr means "run the drain
+  // tasks on local threads" (the CLI path). See SolveTaskRunner above.
   SolveTaskRunner* solve_runner = nullptr;
-  // Extra attempts after a per-problem solver timeout. 0 (the default)
+  // Extra attempts after a per-problem solver timeout, each with twice the
+  // previous call's budget (FailoverPolicy's defaults). 0 (the default)
   // preserves the paper pipeline's one-shot behavior and bench timings.
   int max_retries = 0;
-  // Timeout escalation factor applied on each retry.
-  double retry_backoff = 2.0;
-  // Cap on the escalated per-call timeout; <= 0 means uncapped.
-  double max_timeout_seconds = 0;
   // When the internal backend reports kUnsupported for a problem, re-solve
   // that problem on Z3 instead of failing the run.
   bool enable_failover = true;
@@ -148,14 +154,6 @@ struct RepairOptions {
   // its block; with them, the compressed 6-port PC1 fat-tree repair grew
   // from 49 to 144 lines.
   bool line_tie_break = true;
-
-  // Whether repairs may place new waypoints on links (paper footnote 2:
-  // virtual network functions let waypoints be added on arbitrary links).
-  bool allow_waypoint_placement = true;
-  // Soft-constraint weight charged for placing a new waypoint.
-  int64_t waypoint_weight = 1;
-  // Upper bound for PC4 edge-cost variables.
-  int max_edge_cost = 64;
 
   // Symmetry-quotient compression pre-pass (off by default; the bench rows
   // and the paper pipeline are measured uncompressed unless asked).

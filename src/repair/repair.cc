@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <exception>
 #include <filesystem>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -173,10 +172,10 @@ std::string ProblemKey(const RepairProblem& problem) {
   return key;
 }
 
-// Builds one worker's solver stack: the chosen engine, optionally wrapped in
-// deterministic fault injection, always wrapped in the
-// failover/retry/exception-isolation decorator. Each worker owns its own
-// stack (Z3 contexts are created per call, so workers never share Z3 state).
+// Builds one drain task's solver stack: the chosen engine, optionally
+// wrapped in deterministic fault injection, always wrapped in the
+// failover/retry/exception-isolation decorator. Each task owns its own stack
+// (Z3 contexts are created per call, so tasks never share Z3 state).
 std::unique_ptr<MaxSmtBackend> MakeWorkerBackend(const RepairOptions& options,
                                                  const Deadline& deadline) {
   std::unique_ptr<MaxSmtBackend> primary = options.backend == BackendChoice::kZ3
@@ -201,69 +200,30 @@ std::unique_ptr<MaxSmtBackend> MakeWorkerBackend(const RepairOptions& options,
   }
   FailoverPolicy policy;
   policy.max_retries = options.max_retries;
-  policy.backoff = options.retry_backoff;
-  policy.max_timeout_seconds = options.max_timeout_seconds;
   policy.deadline = deadline;
   return MakeFailoverBackend(std::move(primary), std::move(secondary), policy);
 }
 
 }  // namespace
 
-Result<RepairOutcome> ComputeRepair(const Harc& original,
-                                    const std::vector<Policy>& policies,
-                                    const RepairOptions& options) {
-  Clock::time_point wall_start = Clock::now();
-  // Shared wall-clock budget for the whole run; encoding draws it down too.
-  // An absolute deadline (per-request budget started at admission) takes
-  // precedence over the relative deadline_seconds convenience.
-  Deadline deadline = options.deadline.unbounded()
-                          ? Deadline::After(options.deadline_seconds)
-                          : options.deadline;
+Result<RepairOutcome> SolveProblemSet(const std::vector<HarcProblem>& problems,
+                                      const RepairOptions& options, const Deadline& deadline) {
   RepairOutcome outcome;
-  // A budget that is already gone — zero, negative, or consumed by queue
-  // wait — fails fast with a clean, empty report: no partitioning, no
-  // encoding, no solver calls. (Mid-run exhaustion still reports kTimeout
-  // per problem, preserving partial-merge semantics.)
-  if (deadline.Expired()) {
-    outcome.status = RepairStatus::kDeadlineExceeded;
-    outcome.stats.wall_seconds = Seconds(wall_start);
-    obs::CurrentRegistry().counter("repair.deadline_rejects").Increment();
-    return outcome;
-  }
-
-  std::vector<RepairProblem> problems;
-  {
-    obs::StageSpan partition_span("repair.partition");
-    problems = PartitionProblems(original, policies, options);
-  }
-  std::set<SubnetId> policied_dsts;
-  for (const Policy& policy : policies) {
-    policied_dsts.insert(policy.dst);
-  }
-  outcome.stats.problems_formulated = static_cast<int>(problems.size());
-  outcome.stats.destinations_skipped =
-      static_cast<int>(policied_dsts.size()) -
-      static_cast<int>([&] {
-        std::set<SubnetId> covered;
-        for (const RepairProblem& p : problems) {
-          covered.insert(p.dsts.begin(), p.dsts.end());
-        }
-        return covered.size();
-      }());
   if (problems.empty()) {
     outcome.status = RepairStatus::kNoViolations;
-    outcome.stats.wall_seconds = Seconds(wall_start);
     return outcome;
   }
+  outcome.stats.problems_formulated = static_cast<int>(problems.size());
 
-  // Encode every problem.
+  // Encode every problem before any solve: the drain tasks order the
+  // problems by size.
   Clock::time_point encode_start = Clock::now();
   std::vector<std::unique_ptr<RepairEncoder>> encoders;
   encoders.reserve(problems.size());
   {
     obs::StageSpan encode_span("repair.encode");
-    for (const RepairProblem& problem : problems) {
-      auto encoder = std::make_unique<RepairEncoder>(original, problem, options);
+    for (const HarcProblem& entry : problems) {
+      auto encoder = std::make_unique<RepairEncoder>(*entry.harc, entry.problem, options);
       Status status = encoder->Encode();
       if (!status.ok()) {
         return status.error();
@@ -283,15 +243,15 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
     registry.gauge("repair.soft_constraints").Set(outcome.stats.soft_constraints);
   }
 
-  // Solve, optionally in parallel. Every per-problem outcome is recorded
-  // individually: a failed problem (timeout/unsat/unsupported/error) never
-  // aborts the run, and an exception in a backend is converted to a result
-  // instead of terminating the worker thread.
+  // Solve. Every per-problem outcome is recorded individually: a failed
+  // problem (timeout/unsat/unsupported/error) never aborts the run, and an
+  // exception in a backend is converted to a result instead of terminating
+  // the drain task.
   std::vector<MaxSmtResult> models(problems.size());
   std::vector<double> solve_times(problems.size(), 0.0);
-  // Workers and pool tasks inherit the submitting thread's registry and
-  // trace, so a per-request RegistryScope installed around the repair covers
-  // the whole parallel solve — concurrent requests never interleave counts.
+  // Drain tasks inherit the submitting thread's registry and trace, so a
+  // per-request RegistryScope installed around the repair covers the whole
+  // parallel solve — concurrent requests never interleave counts.
   obs::Registry* request_registry = &obs::CurrentRegistry();
   obs::Trace* request_trace = &obs::CurrentTrace();
   auto solve_one = [&](size_t index, MaxSmtBackend* backend) {
@@ -312,7 +272,7 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
                           : backend->Solve(encoders[index]->system(), budget);
     } catch (const std::exception& e) {
       // The failover decorator already catches; this is the last line of
-      // defense so a worker can never call std::terminate.
+      // defense so a drain task can never call std::terminate.
       models[index] = MaxSmtResult{};
       models[index].status = MaxSmtResult::Status::kError;
       models[index].message = e.what();
@@ -334,73 +294,59 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
   Clock::time_point solve_start = Clock::now();
   {
     obs::StageSpan solve_span("repair.solve");
+    // The drain tasks take the problems largest first (most hard
+    // constraints, ties in input order): a large problem started last would
+    // keep one task busy while the others sit idle. Every solve is
+    // independent, so the order changes only when each one runs, never its
+    // result.
+    std::vector<size_t> order(problems.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return encoders[a]->system().hard().size() > encoders[b]->system().hard().size();
+    });
+    std::atomic<size_t> next{0};
+    auto drain = [&]() {
+      obs::RegistryScope registry_scope(request_registry);
+      obs::TraceScope trace_scope(request_trace, solve_span.index());
+      std::unique_ptr<MaxSmtBackend> backend = MakeWorkerBackend(options, deadline);
+      for (size_t slot = next++; slot < order.size(); slot = next++) {
+        solve_one(order[slot], backend.get());
+      }
+    };
+    const int tasks =
+        std::max(1, std::min<int>(options.num_threads, static_cast<int>(problems.size())));
     if (options.solve_runner != nullptr) {
-      // Shared-executor mode: one task per problem, so the per-dst problems
-      // of concurrent repair requests interleave fairly across one bounded
-      // pool. Each task builds its own backend (Z3 contexts are per call;
-      // internal backend construction is cheap) and the submitter blocks
-      // until every one of *its* tasks finished — tasks never block on other
-      // tasks, so a fixed-size pool cannot deadlock.
+      // A shared executor (cprd's pool) runs the drain tasks of concurrent
+      // requests side by side. The submitter blocks until its own tasks
+      // finished; tasks never block on other tasks, so a fixed-size pool
+      // cannot deadlock.
       std::mutex done_mu;
       std::condition_variable done_cv;
-      size_t done = 0;
-      for (size_t i = 0; i < problems.size(); ++i) {
-        options.solve_runner->Submit([&, i]() {
-          {
-            obs::RegistryScope registry_scope(request_registry);
-            obs::TraceScope trace_scope(request_trace, solve_span.index());
-            std::unique_ptr<MaxSmtBackend> backend = MakeWorkerBackend(options, deadline);
-            solve_one(i, backend.get());
-          }
-          {
-            // Notify while still holding the lock: the waiting submitter owns
-            // done_mu/done_cv on its stack, and the moment it observes the
-            // final count it may return and destroy both. Signalling after
-            // unlock would race with that destruction.
-            std::lock_guard<std::mutex> lock(done_mu);
-            ++done;
-            done_cv.notify_one();
-          }
+      int done = 0;
+      for (int t = 0; t < tasks; ++t) {
+        options.solve_runner->Submit([&]() {
+          drain();
+          // Notify while still holding the lock: the waiting submitter owns
+          // done_mu/done_cv on its stack, and the moment it observes the
+          // final count it may return and destroy both. Signalling after
+          // unlock would race with that destruction.
+          std::lock_guard<std::mutex> lock(done_mu);
+          ++done;
+          done_cv.notify_one();
         });
       }
       std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [&] { return done == problems.size(); });
+      done_cv.wait(lock, [&] { return done == tasks; });
+    } else if (tasks == 1) {
+      drain();
     } else {
-      // The workers take the problems largest first (most hard constraints,
-      // ties in problem order): a large problem started last would keep one
-      // worker busy while the others sit idle. Every solve is independent,
-      // so the order changes only when each one runs, never its result.
-      std::vector<size_t> order(problems.size());
-      std::iota(order.begin(), order.end(), size_t{0});
-      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return encoders[a]->system().hard().size() > encoders[b]->system().hard().size();
-      });
-      std::atomic<size_t> next{0};
-      auto worker = [&]() {
-        obs::RegistryScope registry_scope(request_registry);
-        obs::TraceScope trace_scope(request_trace, solve_span.index());
-        std::unique_ptr<MaxSmtBackend> backend = MakeWorkerBackend(options, deadline);
-        while (true) {
-          size_t slot = next.fetch_add(1);
-          if (slot >= order.size()) {
-            return;
-          }
-          solve_one(order[slot], backend.get());
-        }
-      };
-      int worker_count = std::max(
-          1, std::min<int>(options.num_threads, static_cast<int>(problems.size())));
-      if (worker_count == 1) {
-        worker();
-      } else {
-        std::vector<std::thread> threads;
-        threads.reserve(static_cast<size_t>(worker_count));
-        for (int i = 0; i < worker_count; ++i) {
-          threads.emplace_back(worker);
-        }
-        for (std::thread& thread : threads) {
-          thread.join();
-        }
+      std::vector<std::thread> threads;
+      threads.reserve(static_cast<size_t>(tasks));
+      for (int t = 0; t < tasks; ++t) {
+        threads.emplace_back(drain);
+      }
+      for (std::thread& thread : threads) {
+        thread.join();
       }
     }
   }
@@ -418,7 +364,7 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
   std::map<std::string, double> counter_totals;
   for (size_t i = 0; i < problems.size(); ++i) {
     ProblemReport report;
-    report.dsts = problems[i].dsts;
+    report.dsts = problems[i].problem.dsts;
     report.status = models[i].status;
     report.attempts = models[i].attempts;
     report.backend = models[i].backend;
@@ -495,7 +441,7 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
         continue;
       }
       Certificate cert = *report.certificate;
-      cert.problem = ProblemKey(problems[i]);
+      cert.problem = ProblemKey(problems[i].problem);
       const uint64_t seq = artifact_seq.fetch_add(1);
       const std::string path = options.certify_artifact_dir + "/p" +
                                std::to_string(seq) + "-" +
@@ -536,9 +482,9 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
     // Merge the solved problems' edits. A failed problem contributes none,
     // so its destinations keep their configurations and its policies stay
     // violated: a partial repair degrades gracefully.
-    const Network& network = original.network();
     for (size_t i = 0; i < problems.size(); ++i) {
-      const RepairProblem& problem = problems[i];
+      const RepairProblem& problem = problems[i].problem;
+      const Network& network = problems[i].harc->network();
       const RepairEncoder& encoder = *encoders[i];
       const MaxSmtResult& model = models[i];
       if (!model.ok()) {
@@ -548,8 +494,8 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
       // Collect this problem's edits into their own record first: every
       // entry belongs to problem `i`, which is what lets each edit's
       // provenance chain name its owning problem and the soft constraint it
-      // flipped — and what the incremental engine replays for untouched
-      // groups.
+      // flipped — and what the incremental engine and the compression
+      // pre-pass read per problem.
       RepairEdits problem_edits;
       encoder.CollectEdits(model, &problem_edits);
       std::vector<std::string> dst_names;
@@ -602,35 +548,52 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
                                                        : RepairStatus::kSuccess;
   }
   encoders.clear();
-  outcome.stats.wall_seconds = Seconds(wall_start);
   return outcome;
 }
 
-void MergeRepairStats(RepairStats from, RepairStats* into) {
-  into->problems_formulated += from.problems_formulated;
-  into->problems_solved += from.problems_solved;
-  into->problems_failed += from.problems_failed;
-  into->destinations_skipped += from.destinations_skipped;
-  into->encode_seconds += from.encode_seconds;
-  into->solve_seconds += from.solve_seconds;
-  into->solve_wall_seconds += from.solve_wall_seconds;
-  into->wall_seconds += from.wall_seconds;
-  into->bool_vars += from.bool_vars;
-  into->hard_constraints += from.hard_constraints;
-  into->soft_constraints += from.soft_constraints;
-  into->certify_checked += from.certify_checked;
-  into->certify_verified += from.certify_verified;
-  into->certify_failed += from.certify_failed;
-  into->certify_artifacts += from.certify_artifacts;
-  into->problem_reports.insert(into->problem_reports.end(),
-                               std::make_move_iterator(from.problem_reports.begin()),
-                               std::make_move_iterator(from.problem_reports.end()));
-  std::map<std::string, double> totals(into->solver_counter_totals.begin(),
-                                       into->solver_counter_totals.end());
-  for (const auto& [name, value] : from.solver_counter_totals) {
-    totals[name] += value;
+Result<RepairOutcome> ComputeRepair(const Harc& original,
+                                    const std::vector<Policy>& policies,
+                                    const RepairOptions& options) {
+  Clock::time_point wall_start = Clock::now();
+  // Shared wall-clock budget for the whole run; partitioning and encoding
+  // draw it down too. An absolute deadline (per-request budget started at
+  // admission) takes precedence over the relative deadline_seconds
+  // convenience.
+  Deadline deadline = options.deadline.unbounded()
+                          ? Deadline::After(options.deadline_seconds)
+                          : options.deadline;
+  // A budget that is already gone — zero, negative, or consumed by queue
+  // wait — fails fast with a clean, empty report: no partitioning, no
+  // encoding, no solver calls. (Mid-run exhaustion still reports kTimeout
+  // per problem, preserving partial-merge semantics.)
+  if (deadline.Expired()) {
+    RepairOutcome outcome;
+    outcome.status = RepairStatus::kDeadlineExceeded;
+    outcome.stats.wall_seconds = Seconds(wall_start);
+    obs::CurrentRegistry().counter("repair.deadline_rejects").Increment();
+    return outcome;
   }
-  into->solver_counter_totals.assign(totals.begin(), totals.end());
+
+  std::vector<HarcProblem> problems;
+  std::set<SubnetId> covered;
+  {
+    obs::StageSpan partition_span("repair.partition");
+    for (RepairProblem& problem : PartitionProblems(original, policies, options)) {
+      covered.insert(problem.dsts.begin(), problem.dsts.end());
+      problems.push_back({&original, std::move(problem)});
+    }
+  }
+  std::set<SubnetId> policied_dsts;
+  for (const Policy& policy : policies) {
+    policied_dsts.insert(policy.dst);
+  }
+  Result<RepairOutcome> outcome = SolveProblemSet(problems, options, deadline);
+  if (outcome.ok()) {
+    outcome->stats.destinations_skipped =
+        static_cast<int>(policied_dsts.size()) - static_cast<int>(covered.size());
+    outcome->stats.wall_seconds = Seconds(wall_start);
+  }
+  return outcome;
 }
 
 }  // namespace cpr

@@ -1,6 +1,6 @@
 // The repair engine: partitions policies into MaxSMT problems (paper §5.3),
-// solves them (optionally in parallel), and merges the solved models'
-// construct edits into one repair.
+// solves them in one problem-set pass (optionally in parallel), and merges
+// the solved models' construct edits into one repair.
 //
 // In kAllTcs mode there is a single problem over every policied traffic
 // class, with the aETG mutable. In kPerDst mode there is one problem per
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "arc/harc.h"
+#include "netbase/deadline.h"
 #include "netbase/result.h"
 #include "obs/provenance.h"
 #include "repair/encoder.h"
@@ -183,18 +184,31 @@ std::vector<RepairProblem> PartitionAllGroups(const Harc& harc,
                                               const std::vector<Policy>& policies,
                                               const RepairOptions& options);
 
-// Computes a repair. Structural errors (e.g. an unmappable PC4 path) are
-// reported as Error; solver-level failures land in RepairOutcome::status.
+// One MaxSMT problem and the HARC it was partitioned on. A problem set may
+// mix HARCs: the compression pre-pass solves every group's quotient problems
+// in one pass.
+struct HarcProblem {
+  const Harc* harc = nullptr;
+  RepairProblem problem;
+};
+
+// The problem-set pass. Encodes every problem first, then solves them on
+// min(num_threads, problems) drain tasks that take the problems largest
+// first (most hard constraints, ties in input order); each task owns one
+// solver stack. The tasks run on `options.solve_runner` when one is set and
+// on local threads otherwise. Reports, certificates, edits and provenance
+// merge in input order: problem i is ProblemReport i and provenance problem
+// i. `deadline` bounds every solver call. An empty set is kNoViolations.
+// Structural encoding errors are reported as Error.
+Result<RepairOutcome> SolveProblemSet(const std::vector<HarcProblem>& problems,
+                                      const RepairOptions& options, const Deadline& deadline);
+
+// Computes a repair: PartitionProblems, then the problem-set pass. Structural
+// errors (e.g. an unmappable PC4 path) are reported as Error; solver-level
+// failures land in RepairOutcome::status.
 Result<RepairOutcome> ComputeRepair(const Harc& original,
                                     const std::vector<Policy>& policies,
                                     const RepairOptions& options);
-
-// Folds the stats of a further solve into `into`: sums every count and time
-// (certification totals included), appends the problem reports — `from`'s
-// problem i becomes `into`'s problem (old size + i), and callers renumber
-// provenance to match — and merges solver_counter_totals by name. The core
-// pipeline's lint counts and trace id are left alone.
-void MergeRepairStats(RepairStats from, RepairStats* into);
 
 }  // namespace cpr
 

@@ -475,7 +475,9 @@ Daemon::Attempt Daemon::ExecuteOnce(Request* request) {
   }
 
   options->repair.deadline = request->deadline;
+  // Every solve pass runs up to one drain task per pool thread on the pool.
   options->repair.solve_runner = solve_pool_.get();
+  options->repair.num_threads = options_.solve_threads;
   // Per-request certificate retention: when the client asked for checking
   // and the daemon persists results, the certificates land next to them so
   // `cpr certify <results>/certs/<id>` can re-validate the run offline.
@@ -586,6 +588,9 @@ void Daemon::FinishRequest(Request* request, RequestState terminal, double exec_
   if (options_.telemetry) {
     obs::Registry::Global().Merge(request->registry->TakeSnapshot());
   }
+  // Nothing reads a finished request's instrument sinks again.
+  request->registry.reset();
+  request->trace.reset();
   EmitEvent(obs::Event::Of(terminal == RequestState::kDone ? "request.done"
                                                            : "request.failed",
                            request->id, request->spec.trace_id)
@@ -605,6 +610,15 @@ void Daemon::FinishRequest(Request* request, RequestState terminal, double exec_
   request->exec_seconds = exec_seconds;
   request->state = terminal;
   ++completed_total_;
+  // Only the newest kRetainedStatsDocuments finished requests keep their
+  // stats document in memory; results_dir keeps every one on disk.
+  stats_retained_.push_back(request->id);
+  while (stats_retained_.size() > kRetainedStatsDocuments) {
+    Request& expired = requests_.at(stats_retained_.front());
+    stats_retained_.pop_front();
+    std::string().swap(expired.stats_json);
+    expired.stats_expired = true;
+  }
   // EMA of execution time feeds the admission retry-after hint. Only
   // genuinely-solved executions count: deadline-expired and rejected
   // requests complete in ~0ms, and folding them in would tell clients to
@@ -635,6 +649,7 @@ std::optional<RequestStatus> Daemon::GetStatus(uint64_t id) const {
   status.queue_seconds = request.queue_seconds;
   status.exec_seconds = request.exec_seconds;
   status.stats_json = request.stats_json;
+  status.stats_expired = request.stats_expired;
   return status;
 }
 

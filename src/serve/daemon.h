@@ -127,6 +127,9 @@ struct RequestStatus {
   double queue_seconds = 0;
   double exec_seconds = 0;
   std::string stats_json;  // Per-request --stats-json document (done/failed).
+  // The document was dropped from memory: only the newest
+  // Daemon::kRetainedStatsDocuments finished requests keep theirs.
+  bool stats_expired = false;
 };
 
 struct AdmissionDecision {
@@ -145,6 +148,10 @@ struct DrainReport {
 
 class Daemon {
  public:
+  // Finished requests whose stats document stays in memory (newest first
+  // out of the window); results_dir, when set, keeps every document.
+  static constexpr size_t kRetainedStatsDocuments = 256;
+
   // Opens the checkpoint store, recovers un-completed requests from a
   // previous daemon into the queue (mark-and-sweep), and starts the workers.
   static Result<std::unique_ptr<Daemon>> Start(const DaemonOptions& options);
@@ -205,8 +212,10 @@ class Daemon {
     std::string status;
     std::string error;
     std::string stats_json;
+    bool stats_expired = false;
     // Per-request instrument sinks; unique_ptr for address stability while
-    // solve-pool tasks write through RegistryScope/TraceScope.
+    // solve-pool tasks write through RegistryScope/TraceScope. Released when
+    // the request finishes, after the global merge.
     std::unique_ptr<obs::Registry> registry = std::make_unique<obs::Registry>();
     std::unique_ptr<obs::Trace> trace = std::make_unique<obs::Trace>();
   };
@@ -272,6 +281,8 @@ class Daemon {
   std::condition_variable terminal_cv_;  // Some request reached a terminal state.
   std::deque<uint64_t> queue_;
   std::map<uint64_t, Request> requests_;
+  // Finished requests still holding their stats document, oldest first.
+  std::deque<uint64_t> stats_retained_;
   uint64_t next_id_ = 1;
   int running_ = 0;
   bool draining_ = false;

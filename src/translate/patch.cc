@@ -1,6 +1,8 @@
 #include "translate/patch.h"
 
 #include <iterator>
+#include <map>
+#include <string>
 #include <utility>
 
 #include "obs/span.h"
@@ -14,6 +16,35 @@ template <typename T>
 void MoveAppend(std::vector<T>&& from, std::vector<T>* into) {
   into->insert(into->end(), std::make_move_iterator(from.begin()),
                std::make_move_iterator(from.end()));
+}
+
+// Folds the fallback's stats into the first phase's: sums every count and
+// time (certification totals included), appends the problem reports —
+// `from`'s problem i becomes `into`'s problem (old size + i), and the caller
+// renumbers provenance to match — and merges solver_counter_totals by name.
+void MergeRepairStats(RepairStats from, RepairStats* into) {
+  into->problems_formulated += from.problems_formulated;
+  into->problems_solved += from.problems_solved;
+  into->problems_failed += from.problems_failed;
+  into->destinations_skipped += from.destinations_skipped;
+  into->encode_seconds += from.encode_seconds;
+  into->solve_seconds += from.solve_seconds;
+  into->solve_wall_seconds += from.solve_wall_seconds;
+  into->wall_seconds += from.wall_seconds;
+  into->bool_vars += from.bool_vars;
+  into->hard_constraints += from.hard_constraints;
+  into->soft_constraints += from.soft_constraints;
+  into->certify_checked += from.certify_checked;
+  into->certify_verified += from.certify_verified;
+  into->certify_failed += from.certify_failed;
+  into->certify_artifacts += from.certify_artifacts;
+  MoveAppend(std::move(from.problem_reports), &into->problem_reports);
+  std::map<std::string, double> totals(into->solver_counter_totals.begin(),
+                                       into->solver_counter_totals.end());
+  for (const auto& [name, value] : from.solver_counter_totals) {
+    totals[name] += value;
+  }
+  into->solver_counter_totals.assign(totals.begin(), totals.end());
 }
 
 // Translates `edits` onto `base` and stacks the result on `repair`. The diff

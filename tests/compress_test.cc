@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "compress/compress.h"
@@ -19,6 +23,7 @@
 #include "compress/quotient.h"
 #include "config/parser.h"
 #include "core/cpr.h"
+#include "obs/span.h"
 #include "repair/options.h"
 #include "verify/checker.h"
 #include "workload/dirty.h"
@@ -369,27 +374,109 @@ TEST(CompressCacheTest, RecycledNetworkAddressStillRebinds) {
   }
 }
 
-// A rebuilt network with an unchanged structural role key (here: identical
-// configs, new generation) keeps the cached base partition instead of
-// reseeding WL refinement — the differ-small reuse path.
-TEST(CompressCacheTest, BasePartitionSurvivesStructurallyIdenticalRebuild) {
-  FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kAlwaysBlocked, 2, 7);
-  Network first = MustBuildNetwork(scenario.broken_configs, scenario.annotations);
-  Network second = MustBuildNetwork(scenario.broken_configs, scenario.annotations);
-  ASSERT_NE(first.generation(), second.generation());
+// ---------------------------------------------------------------------------
+// One quotient pass: every group's quotient problems are solved together.
 
-  compress::CompressionCache cache;
-  compress::Partition cold = cache.Base(first);
-  EXPECT_EQ(cache.partition_reuses(), 0);
-  compress::Partition warm = cache.Base(second);
-  EXPECT_EQ(cache.partition_reuses(), 1);
-  EXPECT_EQ(cold.block_of, warm.block_of);
+// Counts submitted tasks and runs each on a thread of its own, joined on
+// destruction.
+class CountingRunner : public SolveTaskRunner {
+ public:
+  CountingRunner() = default;
+  CountingRunner(const CountingRunner&) = delete;
+  CountingRunner& operator=(const CountingRunner&) = delete;
+  ~CountingRunner() override {
+    for (std::thread& thread : threads_) {
+      thread.join();
+    }
+  }
+  void Submit(std::function<void()> task) override {
+    ++submitted_;
+    threads_.emplace_back(std::move(task));
+  }
+  int submitted() const { return submitted_; }
 
-  // A structurally different snapshot still reseeds.
-  Network changed = MustBuildNetwork(scenario.working_configs, scenario.annotations);
-  compress::Partition reseeded = cache.Base(changed);
-  EXPECT_EQ(cache.partition_reuses(), 1);
-  EXPECT_EQ(reseeded.device_count(), static_cast<int>(changed.devices().size()));
+ private:
+  int submitted_ = 0;
+  std::vector<std::thread> threads_;
+};
+
+// The 6-port PC3 scenario compresses every group and needs no concrete
+// fallback, so every solve of the run belongs to the quotient pass.
+FatTreeScenario QuotientPassScenario() {
+  return MakeFatTreeScenario(6, PolicyClass::kReachability, 12, 7);
+}
+
+// Through a shared executor the quotient pass submits at most num_threads
+// drain tasks for all groups' problems, and the reports list every group's
+// problems in group order with concrete destinations.
+TEST(CompressPassTest, AllGroupsShareOneExecutorPass) {
+  FatTreeScenario scenario = QuotientPassScenario();
+  Result<Cpr> pipeline =
+      Cpr::FromConfigTexts(scenario.broken_configs, scenario.annotations);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.error().message();
+  CprOptions options = CompressOptionsFor(CompressMode::kOn);
+  options.repair.num_threads = 2;
+  CountingRunner runner;
+  options.repair.solve_runner = &runner;
+  Result<CprReport> report = pipeline->Repair(scenario.policies, options);
+  ASSERT_TRUE(report.ok()) << report.error().message();
+  ASSERT_TRUE(report->compression.applied) << report->compression.skipped_reason;
+  ASSERT_EQ(report->compression.fallback_policies, 0);
+
+  const std::vector<RepairProblem> groups =
+      PartitionProblems(pipeline->harc(), scenario.policies, options.repair);
+  ASSERT_EQ(report->compression.groups_compressed, static_cast<int>(groups.size()));
+  const std::vector<ProblemReport>& reports = report->stats.problem_reports;
+  // One quotient problem per group, more of them than drain tasks.
+  ASSERT_EQ(reports.size(), groups.size());
+  ASSERT_GT(reports.size(), 2u);
+  EXPECT_LE(runner.submitted(), options.repair.num_threads);
+  const SubnetId subnets = static_cast<SubnetId>(pipeline->network().subnets().size());
+  for (size_t i = 0; i < reports.size(); ++i) {
+    SCOPED_TRACE("problem " + std::to_string(i));
+    EXPECT_TRUE(reports[i].solved());
+    ASSERT_EQ(groups[i].dsts.size(), 1u);
+    EXPECT_NE(std::find(reports[i].dsts.begin(), reports[i].dsts.end(), groups[i].dsts[0]),
+              reports[i].dsts.end());
+    for (SubnetId dst : reports[i].dsts) {
+      EXPECT_LT(dst, subnets);
+    }
+  }
+}
+
+// A compressed run solves its quotient problems in one repair.solve span
+// under pipeline.compress.
+TEST(CompressPassTest, OneSolveSpanUnderCompress) {
+  FatTreeScenario scenario = QuotientPassScenario();
+  Result<Cpr> pipeline =
+      Cpr::FromConfigTexts(scenario.broken_configs, scenario.annotations);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.error().message();
+  obs::Trace trace;
+  trace.Enable();
+  Result<CprReport> report = [&] {
+    obs::TraceScope scope(&trace);
+    return pipeline->Repair(scenario.policies, CompressOptionsFor(CompressMode::kOn));
+  }();
+  ASSERT_TRUE(report.ok()) << report.error().message();
+  ASSERT_TRUE(report->compression.applied) << report->compression.skipped_reason;
+  ASSERT_GT(report->stats.problem_reports.size(), 1u);
+
+  const std::vector<obs::SpanRecord> spans = trace.Records();
+  auto under_compress = [&](int32_t index) {
+    for (; index >= 0; index = spans[static_cast<size_t>(index)].parent) {
+      if (spans[static_cast<size_t>(index)].name == "pipeline.compress") {
+        return true;
+      }
+    }
+    return false;
+  };
+  int solves = 0;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name == "repair.solve" && under_compress(static_cast<int32_t>(i))) {
+      ++solves;
+    }
+  }
+  EXPECT_EQ(solves, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -197,56 +197,72 @@ Result<Network> BrokenNetwork(const FatTreeScenario& scenario) {
   return Network::Build(std::move(configs), scenario.annotations);
 }
 
-// A request's own solver workers take its per-destination problems largest
-// first, ties in problem order. Every PC3 policy adds one traffic class's
-// hard constraints to its destination's problem, so one worker must take the
-// problems in order of non-increasing policy count.
+// Runs each submitted task to completion before Submit returns: a shared
+// executor with one slot.
+class OneSlotRunner : public SolveTaskRunner {
+ public:
+  void Submit(std::function<void()> task) override { task(); }
+};
+
+// The drain tasks take the per-destination problems largest first, ties in
+// problem order. Every PC3 policy adds one traffic class's hard constraints
+// to its destination's problem, so the problems must be solved in order of
+// non-increasing policy count: by one local drain task, and through a
+// one-slot executor, whose first drain task empties the queue before the
+// next one starts.
 TEST(RepairScheduleTest, SolvesLargestProblemsFirst) {
   FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kReachability, 12, 7);
   Result<Network> network = BrokenNetwork(scenario);
   ASSERT_TRUE(network.ok()) << network.error().message();
   Harc harc = Harc::Build(*network);
 
-  RepairOptions options;
-  options.granularity = Granularity::kPerDst;
-  options.backend = BackendChoice::kInternal;
-  options.num_threads = 1;
-  obs::Trace trace;
-  trace.Enable();
-  Result<RepairOutcome> outcome = [&] {
-    obs::TraceScope scope(&trace);
-    return ComputeRepair(harc, scenario.policies, options);
-  }();
-  ASSERT_TRUE(outcome.ok()) << outcome.error().message();
-  EXPECT_EQ(outcome->status, RepairStatus::kSuccess);
-
-  const std::vector<ProblemReport>& reports = outcome->stats.problem_reports;
-  std::vector<int> policy_count(reports.size(), 0);
-  for (size_t i = 0; i < reports.size(); ++i) {
-    for (const Policy& policy : scenario.policies) {
-      policy_count[i] += static_cast<int>(
-          std::count(reports[i].dsts.begin(), reports[i].dsts.end(), policy.dst));
+  for (const bool executor : {false, true}) {
+    SCOPED_TRACE(executor ? "one-slot executor" : "local drain task");
+    RepairOptions options;
+    options.granularity = Granularity::kPerDst;
+    options.backend = BackendChoice::kInternal;
+    options.num_threads = executor ? 4 : 1;
+    OneSlotRunner runner;
+    if (executor) {
+      options.solve_runner = &runner;
     }
-  }
-  std::vector<size_t> expected(reports.size());
-  std::iota(expected.begin(), expected.end(), size_t{0});
-  std::stable_sort(expected.begin(), expected.end(),
-                   [&](size_t a, size_t b) { return policy_count[a] > policy_count[b]; });
-  // The scenario's largest problem is not its first one.
-  ASSERT_FALSE(std::is_sorted(expected.begin(), expected.end()));
+    obs::Trace trace;
+    trace.Enable();
+    Result<RepairOutcome> outcome = [&] {
+      obs::TraceScope scope(&trace);
+      return ComputeRepair(harc, scenario.policies, options);
+    }();
+    ASSERT_TRUE(outcome.ok()) << outcome.error().message();
+    EXPECT_EQ(outcome->status, RepairStatus::kSuccess);
 
-  std::vector<size_t> solved;
-  for (const obs::SpanRecord& span : trace.Records()) {
-    if (span.name != "repair.problem") {
-      continue;
-    }
-    for (const auto& [key, value] : span.args) {
-      if (key == "problem") {
-        solved.push_back(std::stoul(value));
+    const std::vector<ProblemReport>& reports = outcome->stats.problem_reports;
+    std::vector<int> policy_count(reports.size(), 0);
+    for (size_t i = 0; i < reports.size(); ++i) {
+      for (const Policy& policy : scenario.policies) {
+        policy_count[i] += static_cast<int>(
+            std::count(reports[i].dsts.begin(), reports[i].dsts.end(), policy.dst));
       }
     }
+    std::vector<size_t> expected(reports.size());
+    std::iota(expected.begin(), expected.end(), size_t{0});
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](size_t a, size_t b) { return policy_count[a] > policy_count[b]; });
+    // The scenario's largest problem is not its first one.
+    ASSERT_FALSE(std::is_sorted(expected.begin(), expected.end()));
+
+    std::vector<size_t> solved;
+    for (const obs::SpanRecord& span : trace.Records()) {
+      if (span.name != "repair.problem") {
+        continue;
+      }
+      for (const auto& [key, value] : span.args) {
+        if (key == "problem") {
+          solved.push_back(std::stoul(value));
+        }
+      }
+    }
+    EXPECT_EQ(solved, expected);
   }
-  EXPECT_EQ(solved, expected);
 }
 
 // Runs every submitted task on a thread of its own, joined on destruction:

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/cpr.h"
@@ -307,6 +310,48 @@ TEST_F(RobustRepairTest, InjectedTimeoutWithoutRetryYieldsPartial) {
     EXPECT_GE(LinkDisjointPathCount(patched.harc, s_, u_), 1);
   }
   EXPECT_GT(outcome->predicted_cost, 0);
+}
+
+// Runs every submitted task on a thread of its own, joined on destruction.
+class ThreadPerTaskRunner : public SolveTaskRunner {
+ public:
+  ThreadPerTaskRunner() = default;
+  ThreadPerTaskRunner(const ThreadPerTaskRunner&) = delete;
+  ThreadPerTaskRunner& operator=(const ThreadPerTaskRunner&) = delete;
+  ~ThreadPerTaskRunner() override {
+    for (std::thread& thread : threads_) {
+      thread.join();
+    }
+  }
+  void Submit(std::function<void()> task) override { threads_.emplace_back(std::move(task)); }
+
+ private:
+  std::vector<std::thread> threads_;
+};
+
+// Each drain task owns one solver stack, and with it one fault-injection
+// sequence: with one drain task, "timeout:max=1" times out exactly one
+// problem, on a local thread and through a shared executor alike.
+TEST_F(RobustRepairTest, OneDrainTaskSpendsTheFaultBudgetOnce) {
+  for (const bool executor : {false, true}) {
+    SCOPED_TRACE(executor ? "executor" : "local");
+    RepairOptions options = BaseOptions();
+    options.fault_injection = *FaultInjectionSpec::Parse("timeout:max=1");
+    ThreadPerTaskRunner runner;
+    if (executor) {
+      options.solve_runner = &runner;
+    }
+    Result<RepairOutcome> outcome = ComputeRepair(harc_, TwoProblemPolicies(), options);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().message();
+    EXPECT_EQ(outcome->status, RepairStatus::kPartial);
+    EXPECT_EQ(outcome->stats.problems_solved, 1);
+    EXPECT_EQ(outcome->stats.problems_failed, 1);
+    int timeouts = 0;
+    for (const ProblemReport& report : outcome->stats.problem_reports) {
+      timeouts += report.status == MaxSmtResult::Status::kTimeout ? 1 : 0;
+    }
+    EXPECT_EQ(timeouts, 1);
+  }
 }
 
 TEST_F(RobustRepairTest, AllOrNothingModeRestoresOldBehavior) {

@@ -356,6 +356,42 @@ TEST(DaemonTest, ExpiredDeadlineReportsCleanlyWithoutSolving) {
   EXPECT_NE(status->stats_json.find("deadline-exceeded"), std::string::npos);
 }
 
+// Only the newest Daemon::kRetainedStatsDocuments finished requests keep
+// their stats document in memory. An older request keeps its status, says
+// its document expired, and still has its file in results_dir.
+TEST(DaemonTest, OldStatsDocumentsExpireButStatusesAndFilesStay) {
+  ServeFixture fx("statsexpiry");
+  DaemonOptions options = fx.Options();
+  options.results_dir = (fs::path(fx.checkpoint_dir()).parent_path() / "results").string();
+  Result<std::unique_ptr<Daemon>> daemon = Daemon::Start(options);
+  ASSERT_TRUE(daemon.ok());
+
+  // Arrived-dead requests finish at once, each with a stats document.
+  RequestSpec spec = fx.Spec("expiring");
+  spec.deadline_seconds = -1;
+  const size_t total = Daemon::kRetainedStatsDocuments + 2;
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < total; ++i) {
+    AdmissionDecision decision = (*daemon)->Submit(spec);
+    ASSERT_TRUE(decision.admitted) << decision.error;
+    ASSERT_TRUE((*daemon)->WaitFor(decision.id, 10));
+    ids.push_back(decision.id);
+  }
+
+  for (size_t i = 0; i < total; ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    std::optional<RequestStatus> status = (*daemon)->GetStatus(ids[i]);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, RequestState::kDone);
+    EXPECT_EQ(status->status, "deadline-exceeded");
+    const bool expired = i < total - Daemon::kRetainedStatsDocuments;
+    EXPECT_EQ(status->stats_expired, expired);
+    EXPECT_EQ(status->stats_json.empty(), expired);
+    EXPECT_TRUE(fs::exists(fs::path(options.results_dir) /
+                           ("result-" + std::to_string(ids[i]) + ".json")));
+  }
+}
+
 TEST(DaemonTest, BudgetSpentInQueueExpiresTheRequest) {
   ServeFixture fx("queuewait");
   DaemonOptions options = fx.Options();

@@ -301,6 +301,14 @@ bool HandleConnection(Daemon* daemon, int fd) {
       respond({{"found", "0"}});
       return false;
     }
+    if (status->stats_expired) {
+      respond({{"found", "1"},
+               {"expired", "1"},
+               {"error", "stats document expired: only the newest " +
+                             std::to_string(cpr::serve::Daemon::kRetainedStatsDocuments) +
+                             " finished requests keep theirs in memory"}});
+      return false;
+    }
     respond({{"found", "1"}, {"stats", status->stats_json}});
     return false;
   }
@@ -682,7 +690,8 @@ int CmdClient(const std::string& command, ArgReader* args) {
       std::fprintf(stderr, "error: %s\n", response.error().message().c_str());
       return 1;
     }
-    return WireView(*response).Get("found", "1") == "1" ? 0 : 1;
+    WireView view(*response);
+    return view.Get("found", "1") == "1" && view.Get("expired", "0") == "0" ? 0 : 1;
   }
   if (command == "wait") {
     if (!have_id) {
