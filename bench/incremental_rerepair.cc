@@ -4,10 +4,11 @@
 // Build one RepairSession from a repaired fat-tree snapshot, then replay a
 // stream of one-router ACL edits (each re-breaking a single traffic class).
 // For every edit, run the same snapshot through (a) Cpr::FromBaseline with
-// the retained session — diff, HARC clone, re-solve of the dirty group,
-// concrete re-verification — and (b) Cpr::FromConfigTexts, the from-scratch
-// pipeline. Both sides parse the same texts and end concretely verified, so
-// the ratio is end-to-end, not engine-only. The session build itself is
+// the retained session — HARC build, HARC diff against the session's,
+// re-solve of the dirty group, concrete re-verification — and (b)
+// Cpr::FromConfigTexts, the from-scratch pipeline. Both sides parse the
+// same texts, build the same HARC and end concretely verified, so the ratio
+// is end-to-end, not engine-only. The session build itself is
 // reported separately: it is the one-time cost a daemon amortizes across the
 // whole edit stream.
 //
@@ -53,8 +54,8 @@ using cpr::WallTimer;
 // Reverts one repair edit on the `skip`-th eligible router, re-breaking the
 // traffic the edit policed: either an ACL deny entry (the internal backend's
 // preferred PC1 fix) or a repair-introduced route-filter deny (z3's). Both
-// diff as scoped dirt — one traffic class resp. one destination — so the
-// incremental path re-solves a single group. Returns false when fewer than
+// change one tcETG resp. one dETG, so the incremental path re-solves a
+// single group. Returns false when fewer than
 // skip+1 routers are eligible.
 bool BreakOneRouter(std::vector<std::string>* texts, int skip) {
   static const std::regex acl_deny("( deny ip 10\\.[^\n]*\n)");

@@ -341,7 +341,8 @@ python3 - "$incr_json" <<'EOF'
 import json, sys
 s = json.load(open(sys.argv[1]))["incremental"]
 assert s["attempted"] and s["applied"], s
-assert s["harc_cloned"], s
+assert not s["everything_dirty"], s
+assert s["dirty_destinations"] + s["dirty_traffic_classes"] >= 1, s
 assert s["groups_reused"] > 0, s
 assert not s["fell_back"], s
 EOF
@@ -506,7 +507,7 @@ cmake -B build-asan -S . -DCPR_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$jobs"
 # Leak detection is off: Z3 keeps global state alive at exit.
 ASAN_OPTIONS=detect_leaks=0 ctest --test-dir build-asan --output-on-failure \
-  -j "$jobs" -R 'Robust|Repair|Pipeline|TranslatorExactness|Workload|Simulat|Solver|ConstraintSystem|Tseitin|Smt|Sat|MaxSat|Failover|FaultInjection|Backend|Obs|Counter|Gauge|Histogram|Registry|Span|Json|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|DirtySet|PrepareHarc|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
+  -j "$jobs" -R 'Robust|Repair|Pipeline|TranslatorExactness|Workload|Simulat|Solver|ConstraintSystem|Tseitin|Smt|Sat|MaxSat|Failover|FaultInjection|Backend|Obs|Counter|Gauge|Histogram|Registry|Span|Json|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
 
 echo "== TSan configuration =="
 cmake -B build-tsan -S . -DCPR_TSAN=ON >/dev/null
@@ -524,6 +525,6 @@ cmake --build build-tsan -j "$jobs" --target obs_test repair_test serve_test \
 # scoped suppression in scripts/tsan.supp (our code stays fully checked).
 TSAN_OPTIONS="halt_on_error=1:suppressions=$PWD/scripts/tsan.supp" \
   ctest --test-dir build-tsan --output-on-failure \
-  -j "$jobs" -R 'Counter|Gauge|Histogram|Registry|Span|Json|Repair|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|DirtySet|PrepareHarc|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
+  -j "$jobs" -R 'Counter|Gauge|Histogram|Registry|Span|Json|Repair|Daemon|Checkpoint|SnapshotCache|Wire|Compress|Incremental|Session|Certify|Rup|ProofLog|Artifact|Expose|EventLog|FlightRecorder|TraceId'
 
 echo "== all checks passed =="

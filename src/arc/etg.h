@@ -51,6 +51,11 @@ class Etg {
   // Whether both ETGs have the same edges present (weights aside): one
   // word-wise compare of the bitmaps.
   bool SamePresence(const Etg& other) const { return present_ == other.present_; }
+  // SamePresence plus the same weight overrides. Unlike operator==, it
+  // compares ETGs of two HARCs whose universes are equal but distinct.
+  bool SameEdges(const Etg& other) const {
+    return SamePresence(other) && weight_overrides_ == other.weight_overrides_;
+  }
 
   double weight(CandidateEdgeId edge) const {
     auto it = weight_overrides_.find(edge);
@@ -70,13 +75,6 @@ class Etg {
   // get capacity 1, everything else is effectively uncapacitated. Sized for
   // the digraph returned by ToDigraph().
   std::vector<int> LinkDisjointCapacities() const;
-
-  // Re-points the ETG at a different universe instance. Only valid when the
-  // new universe is structurally identical to the old one (same edge vector,
-  // field for field) — Harc::CloneFor verifies that before rebinding, which
-  // is what lets a retained HARC migrate onto a re-parsed network snapshot
-  // without rebuilding its presence bitmaps.
-  void RebindUniverse(const EtgUniverse* universe) { universe_ = universe; }
 
   bool operator==(const Etg& other) const = default;
 

@@ -88,8 +88,7 @@ namespace {
 
 // One destination's dETG: the aETG minus blocked processes and
 // destination-scoped endpoint trimming, plus static-route edges (Algorithm 1
-// lines 4-12, Figure 4). Extracted from Build() so the incremental engine
-// can re-derive a single dirty destination.
+// lines 4-12, Figure 4).
 Etg BuildDetgLayer(const Network& network, const EtgUniverse& universe, const Etg& aetg,
                    SubnetId d) {
   const Subnet& dst = network.subnets()[static_cast<size_t>(d)];
@@ -152,75 +151,16 @@ Etg BuildDetgLayer(const Network& network, const EtgUniverse& universe, const Et
   return detg;
 }
 
-// One traffic class's tcETG: the dETG minus ACL-blocked edges and
-// source-scoped endpoint trimming (Algorithm 1's per-traffic-class step).
-Etg BuildTcetgLayer(const Network& network, const EtgUniverse& universe, const Etg& detg,
-                    SubnetId s, SubnetId d) {
-  const TrafficClass tc(network.subnets()[static_cast<size_t>(s)].prefix,
-                        network.subnets()[static_cast<size_t>(d)].prefix);
-  Etg tcetg = detg;
-  for (int e = 0; e < universe.EdgeCount(); ++e) {
-    if (!tcetg.IsPresent(e)) {
-      continue;
-    }
-    const CandidateEdge& edge = universe.edge(e);
-    switch (edge.kind) {
-      case EtgEdgeKind::kInterDevice: {
-        const TopoLink& link = network.links()[static_cast<size_t>(edge.link)];
-        auto [egress_intf, ingress_intf] = OrientLink(link, edge.device);
-        DeviceId ingress_device =
-            link.device_a == edge.device ? link.device_b : link.device_a;
-        const Config& egress_config = network.config_for(edge.device);
-        const Config& ingress_config = network.config_for(ingress_device);
-        const InterfaceConfig* out_intf = egress_config.FindInterface(egress_intf);
-        const InterfaceConfig* in_intf = ingress_config.FindInterface(ingress_intf);
-        if ((out_intf != nullptr && AclBlocks(egress_config, out_intf->acl_out, tc)) ||
-            (in_intf != nullptr && AclBlocks(ingress_config, in_intf->acl_in, tc))) {
-          tcetg.SetPresent(e, false);
-        }
-        break;
-      }
-      case EtgEdgeKind::kEndpointSrc: {
-        if (edge.subnet != s) {
-          tcetg.SetPresent(e, false);
-          break;
-        }
-        const Subnet& subnet = network.subnets()[static_cast<size_t>(edge.subnet)];
-        const Config& config = network.config_for(subnet.device);
-        const InterfaceConfig* intf = config.FindInterface(subnet.interface);
-        if (intf != nullptr && AclBlocks(config, intf->acl_in, tc)) {
-          tcetg.SetPresent(e, false);
-        }
-        break;
-      }
-      case EtgEdgeKind::kEndpointDst: {
-        const Subnet& subnet = network.subnets()[static_cast<size_t>(edge.subnet)];
-        const Config& config = network.config_for(subnet.device);
-        const InterfaceConfig* intf = config.FindInterface(subnet.interface);
-        if (intf != nullptr && AclBlocks(config, intf->acl_out, tc)) {
-          tcetg.SetPresent(e, false);
-        }
-        break;
-      }
-      case EtgEdgeKind::kIntraSelf:
-      case EtgEdgeKind::kRedistribution:
-        break;
-    }
-  }
-  return tcetg;
-}
-
 // Precomputed traffic-class scaffolding for Build()'s S^2 tcETG loop.
 //
-// BuildTcetgLayer re-derives, for every (src, dst) pair, which edges the
-// traffic class loses — but only two kinds of edges actually depend on the
-// pair: endpoint-source edges (trimmed to the source subnet) and edges whose
-// interfaces carry a *defined* ACL binding (an undefined ACL permits all
-// traffic, so it can never clear an edge). Resolving interface and ACL names
-// once per network turns the per-pair work from O(E) string lookups into a
-// bitmap copy plus a handful of Permits() calls. BuildTcetgLayer stays the
-// naive reference; RebuildDestination/RebuildTrafficClass call it, and
-// arc_test asserts the two paths agree edge-for-edge.
+// A tcETG is its dETG minus the edges the traffic class loses, but only two
+// kinds of edges actually depend on the (src, dst) pair: endpoint-source
+// edges (trimmed to the source subnet) and edges whose interfaces carry a
+// *defined* ACL binding (an undefined ACL permits all traffic, so it can
+// never clear an edge). Resolving interface and ACL names once per network
+// turns the per-pair work from O(E) string lookups into a bitmap copy plus a
+// handful of Permits() calls. arc_test re-derives every pair naively through
+// LinkAclBlocks and EndpointAclBlocks and holds the two equal edge-for-edge.
 struct TcetgScaffold {
   // kEndpointSrc candidate edges grouped by their subnet.
   std::vector<std::vector<CandidateEdgeId>> src_edges_by_subnet;
@@ -468,12 +408,12 @@ Harc Harc::Build(const Network& network) {
 
   // ---- tcETGs: plus ACLs (per traffic class). ----
   //
-  // Assembled via the scaffold instead of BuildTcetgLayer: per destination,
-  // start from the dETG with every endpoint-source edge cleared, then per
-  // source restore that source's own edges and apply the (typically few)
-  // resolved ACL checks. Same result as the naive per-pair derivation —
-  // arc_test holds the two paths equal — at a bitmap copy per pair instead
-  // of an O(E) re-scan with name lookups.
+  // Assembled via the scaffold: per destination, start from the dETG with
+  // every endpoint-source edge cleared, then per source restore that
+  // source's own edges and apply the (typically few) resolved ACL checks.
+  // Same result as the naive per-pair derivation — arc_test holds the two
+  // equal — at a bitmap copy per pair instead of an O(E) re-scan with name
+  // lookups.
   const TcetgScaffold scaffold = BuildTcetgScaffold(network, universe);
   harc.tcetgs_.assign(static_cast<size_t>(subnet_count) * static_cast<size_t>(subnet_count),
                       Etg());
@@ -509,58 +449,6 @@ Harc Harc::Build(const Network& network) {
   }
 
   return harc;
-}
-
-void Harc::RebuildDestination(SubnetId dst) {
-  const Network& network = universe_->network();
-  detgs_[static_cast<size_t>(dst)] = BuildDetgLayer(network, *universe_, aetg_, dst);
-  const int subnet_count = SubnetCount();
-  for (SubnetId s = 0; s < subnet_count; ++s) {
-    if (s != dst) {
-      tcetgs_[TcIndex(s, dst)] =
-          BuildTcetgLayer(network, *universe_, detgs_[static_cast<size_t>(dst)], s, dst);
-    }
-  }
-}
-
-void Harc::RebuildTrafficClass(SubnetId src, SubnetId dst) {
-  tcetgs_[TcIndex(src, dst)] = BuildTcetgLayer(
-      universe_->network(), *universe_, detgs_[static_cast<size_t>(dst)], src, dst);
-}
-
-std::optional<Harc> Harc::CloneFor(const Network& network) const {
-  auto universe = std::make_shared<const EtgUniverse>(EtgUniverse::Build(network));
-  if (universe->VertexCount() != universe_->VertexCount() ||
-      universe->EdgeCount() != universe_->EdgeCount()) {
-    return std::nullopt;
-  }
-  for (int e = 0; e < universe->EdgeCount(); ++e) {
-    const CandidateEdge& a = universe->edge(e);
-    const CandidateEdge& b = universe_->edge(e);
-    // Field-by-field: a snapshot that moved a link, renamed a process, or
-    // changed an OSPF cost (default_weight) produces a different universe
-    // and must rebuild from scratch.
-    if (a.from != b.from || a.to != b.to || a.kind != b.kind ||
-        a.from_process != b.from_process || a.to_process != b.to_process ||
-        a.link != b.link || a.subnet != b.subnet || a.device != b.device ||
-        a.default_weight != b.default_weight || a.waypoint != b.waypoint ||
-        a.adjacency_realizable != b.adjacency_realizable) {
-      return std::nullopt;
-    }
-  }
-  Harc clone = *this;
-  clone.universe_ = std::move(universe);
-  const EtgUniverse* raw = clone.universe_.get();
-  clone.aetg_.RebindUniverse(raw);
-  for (Etg& detg : clone.detgs_) {
-    detg.RebindUniverse(raw);
-  }
-  // Includes the (never-queried) diagonal placeholders; rebinding them is
-  // harmless and keeps the loop uniform.
-  for (Etg& tcetg : clone.tcetgs_) {
-    tcetg.RebindUniverse(raw);
-  }
-  return clone;
 }
 
 Status Harc::CheckHierarchy() const {

@@ -19,7 +19,6 @@
 #define CPR_SRC_ARC_HARC_H_
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "arc/etg.h"
@@ -51,30 +50,6 @@ class Harc {
 
   // Verifies hierarchy constraints 18-19 (§5.1) hold on every layer.
   Status CheckHierarchy() const;
-
-  // --- Incremental rebuilds (src/incremental; DESIGN.md §12) ---
-  //
-  // Re-derives one destination's dETG (and every tcETG toward it) from the
-  // current aETG and the universe's network, by exactly the rules Build()
-  // applies. The incremental engine calls this for destinations the config
-  // differ marked dirty, leaving clean ETGs untouched.
-  void RebuildDestination(SubnetId dst);
-  // Re-derives a single tcETG from the current dETG(dst); for (src, dst)
-  // pairs dirtied by ACL-only changes.
-  void RebuildTrafficClass(SubnetId src, SubnetId dst);
-
-  // Clones this HARC onto a re-parsed network snapshot: builds a fresh
-  // universe from `network`, verifies it is structurally identical to this
-  // HARC's universe (same edge vector, field for field — config edits that
-  // alter topology, process layout, or OSPF costs fail the check), and
-  // returns a copy whose ETGs are rebound to the new universe. nullopt means
-  // "not cloneable, run Build() from scratch". The clone's presence bitmaps
-  // still describe the *old* configurations; callers must RebuildDestination
-  // every dirty destination afterwards.
-  std::optional<Harc> CloneFor(const Network& network) const;
-
-  // Harc is copyable: copies share the (immutable) universe and own their
-  // presence bitmaps (CloneFor copies, then rebinds the universe).
 
  private:
   size_t TcIndex(SubnetId src, SubnetId dst) const {

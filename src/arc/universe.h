@@ -65,6 +65,8 @@ struct CandidateEdge {
   // True when this edge could be realized by a routing adjacency
   // (same-protocol processes on both ends) and hence may appear in the aETG.
   bool adjacency_realizable = false;
+
+  bool operator==(const CandidateEdge& other) const = default;
 };
 
 class EtgUniverse {

@@ -174,9 +174,6 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
   quotient_options.compress = CompressOptions{};
   quotient_options.line_tie_break = false;
   quotient_options.allow_partial = true;
-  const Deadline deadline = options.deadline.unbounded()
-                                ? Deadline::After(options.deadline_seconds)
-                                : options.deadline;
 
   // A mappable group on its quotient; its problems are [first, end) of the
   // quotient pass.
@@ -196,7 +193,7 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
     // 1. The quotient problems of every mappable group.
     int destinations_skipped = 0;
     for (const RepairProblem& group : groups) {
-      if (!Mappable(group) || deadline.Expired()) {
+      if (!Mappable(group) || options.deadline.Expired()) {
         continue;  // The concrete fallback repair picks these up.
       }
       const SubnetPins pins = GroupPins(group);
@@ -256,7 +253,7 @@ Result<CompressionOutcome> TryCompressedRepair(const Network& network, const Har
     // solve pool.
     Timer solve_timer;
     Result<RepairOutcome> solved =
-        SolveProblemSet(quotient_problems, quotient_options, deadline);
+        SolveProblemSet(quotient_problems, quotient_options);
     stats.solve_seconds = solve_timer.Seconds();
     if (!solved.ok()) {
       return decline("quotient solve failed: " + solved.error().message());

@@ -32,8 +32,10 @@ void JoinConfigChanges(const std::vector<EditTrace>& edit_traces,
   }
 }
 
-// Parses every configuration text under one pipeline.parse_configs span.
-Result<std::vector<Config>> ParseConfigTexts(const std::vector<std::string>& texts) {
+}  // namespace
+
+Result<Cpr> Cpr::FromConfigTexts(const std::vector<std::string>& texts,
+                                 NetworkAnnotations annotations) {
   std::vector<Config> configs;
   configs.reserve(texts.size());
   {
@@ -48,18 +50,7 @@ Result<std::vector<Config>> ParseConfigTexts(const std::vector<std::string>& tex
   }
   obs::CurrentRegistry().gauge("pipeline.configs_parsed")
       .Set(static_cast<int64_t>(configs.size()));
-  return configs;
-}
-
-}  // namespace
-
-Result<Cpr> Cpr::FromConfigTexts(const std::vector<std::string>& texts,
-                                 NetworkAnnotations annotations) {
-  Result<std::vector<Config>> configs = ParseConfigTexts(texts);
-  if (!configs.ok()) {
-    return configs.error();
-  }
-  return FromConfigs(std::move(configs).value(), std::move(annotations));
+  return FromConfigs(std::move(configs), std::move(annotations));
 }
 
 Result<Cpr> Cpr::FromConfigs(std::vector<Config> configs, NetworkAnnotations annotations) {
@@ -77,39 +68,10 @@ Result<Cpr> Cpr::FromBaseline(std::shared_ptr<const incremental::RepairSession> 
   if (baseline == nullptr) {
     return Error("incremental repair requires a baseline session");
   }
-  Result<std::vector<Config>> configs = ParseConfigTexts(texts);
-  if (!configs.ok()) {
-    return configs.error();
+  Result<Cpr> cpr = FromConfigTexts(texts, std::move(annotations));
+  if (cpr.ok()) {
+    cpr->baseline_session_ = std::move(baseline);
   }
-
-  incremental::IncrementalStats stats;
-  stats.attempted = true;
-  const auto diff_start = std::chrono::steady_clock::now();
-  auto dirty = std::make_shared<incremental::DirtySet>(incremental::ComputeDirtySet(
-      baseline->network->configs(), baseline->annotations, *configs, annotations));
-  stats.diff_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - diff_start)
-          .count();
-
-  Result<Network> network = [&]() {
-    obs::StageSpan span("pipeline.build_network");
-    return Network::Build(std::move(configs).value(), std::move(annotations));
-  }();
-  if (!network.ok()) {
-    return network.error();
-  }
-  auto owned = std::make_unique<Network>(std::move(network).value());
-
-  // Clone the session's HARC when the edit is destination-scopable; a full
-  // build otherwise (the incremental path then declines in Repair(), but the
-  // report still carries the differ's verdict).
-  std::optional<Harc> prepared =
-      incremental::PrepareHarc(*baseline, *owned, *dirty, &stats);
-  Cpr cpr = prepared.has_value() ? Cpr(std::move(owned), std::move(*prepared))
-                                 : Cpr(std::move(owned));
-  cpr.baseline_session_ = std::move(baseline);
-  cpr.baseline_dirty_ = std::move(dirty);
-  cpr.incremental_stats_ = stats;
   return cpr;
 }
 
@@ -129,7 +91,7 @@ Result<CprReport> Cpr::Repair(const std::vector<Policy>& policies,
 Result<CprReport> Cpr::RepairImpl(const std::vector<Policy>& policies,
                                   const CprOptions& options) const {
   CprReport report;
-  report.incremental = incremental_stats_;
+  report.incremental.attempted = baseline_session_ != nullptr;
   report.certify_mode = certify::CertifyModeName(options.repair.certify);
   report.certify_artifact_dir = options.repair.certify_artifact_dir;
 
@@ -175,13 +137,12 @@ Result<CprReport> Cpr::RepairImpl(const std::vector<Policy>& policies,
     if (!options.trace_id.empty()) {
       repair_span.Annotate("trace_id", options.trace_id);
     }
-    // Incremental re-repair declines on global dirt, changed policies, a
-    // clone-incompatible snapshot, or a failed scoped or fallback solve.
+    // Incremental re-repair declines on a changed universe or aETG, changed
+    // policies, or a failed scoped or fallback solve.
     if (baseline_session_ != nullptr) {
       obs::StageSpan incremental_span("pipeline.incremental");
       Result<incremental::IncrementalOutcome> inc = incremental::TryIncrementalRepair(
-          *baseline_session_, *network_, harc_, *baseline_dirty_, policies,
-          options.repair, incremental_stats_);
+          *baseline_session_, *network_, harc_, policies, options.repair);
       if (!inc.ok()) {
         return inc.error();
       }

@@ -32,7 +32,6 @@
 namespace cpr {
 
 namespace incremental {
-struct DirtySet;
 struct RepairSession;
 }  // namespace incremental
 
@@ -88,9 +87,9 @@ struct CprReport {
   std::string certify_mode = "off";
   std::string certify_artifact_dir;
 
-  // Incremental re-repair telemetry (DESIGN.md §12): dirty-set size, group
-  // verdict/edit reuse, and whether the scoped result fell back to a full
-  // repair. attempted == false unless the pipeline was built with
+  // Incremental re-repair telemetry (DESIGN.md §12): the HARC diff's dirty
+  // counts, group verdict reuse, and whether the scoped result fell back to
+  // a full repair. attempted == false unless the pipeline was built with
   // FromBaseline.
   incremental::IncrementalStats incremental;
 
@@ -140,15 +139,13 @@ class Cpr {
   static Result<Cpr> FromConfigs(std::vector<Config> configs,
                                  NetworkAnnotations annotations = {});
 
-  // Builds the pipeline for a new snapshot of the same lineage as a retained
-  // RepairSession (src/incremental). The session's configurations are diffed
-  // against `texts`; when the edit is destination-scopable the session's
-  // HARC is cloned with only dirty destinations rebuilt, and Repair() runs
-  // the incremental path: clean groups reuse their baseline verdicts, dirty
-  // groups re-solve exactly as a full repair would, and the result is
-  // re-verified concretely (falling back to a full repair on any residual
-  // violation). The session is only read, so one session can serve any
-  // number of pipelines.
+  // FromConfigTexts for a new snapshot of the same lineage as a retained
+  // RepairSession (src/incremental). Repair() then runs the incremental
+  // path: the snapshot's HARC is diffed against the session's, clean groups
+  // reuse their baseline verdicts, dirty groups re-solve exactly as a full
+  // repair would, and the result is re-verified concretely (falling back to
+  // a full repair on any residual violation). The session is only read, so
+  // one session can serve any number of pipelines.
   static Result<Cpr> FromBaseline(std::shared_ptr<const incremental::RepairSession> baseline,
                                   const std::vector<std::string>& texts,
                                   NetworkAnnotations annotations = {});
@@ -170,11 +167,6 @@ class Cpr {
   explicit Cpr(std::unique_ptr<Network> network)
       : network_(std::move(network)), harc_(Harc::Build(*network_)) {}
 
-  // FromBaseline's clone path: the HARC was prepared from the session
-  // instead of built from scratch.
-  Cpr(std::unique_ptr<Network> network, Harc harc)
-      : network_(std::move(network)), harc_(std::move(harc)) {}
-
   // Repair() minus the trace-id stamping the public wrapper applies to every
   // successful return path.
   Result<CprReport> RepairImpl(const std::vector<Policy>& policies,
@@ -190,12 +182,8 @@ class Cpr {
   std::unique_ptr<Network> network_;
   Harc harc_;
 
-  // Set by FromBaseline: the retained session, the differ's verdict on this
-  // snapshot, and the preparation stats (attempted/cloned/dirty counts) that
-  // seed the report's incremental section even when the path declines.
+  // Set by FromBaseline: the retained session Repair() re-repairs against.
   std::shared_ptr<const incremental::RepairSession> baseline_session_;
-  std::shared_ptr<const incremental::DirtySet> baseline_dirty_;
-  incremental::IncrementalStats incremental_stats_;
 };
 
 }  // namespace cpr

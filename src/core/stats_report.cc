@@ -211,7 +211,7 @@ void WriteIncremental(obs::JsonWriter* w, const CprReport& report) {
   w->Key("skipped_reason").String(i.skipped_reason);
   w->Key("devices_changed").Int(i.devices_changed);
   w->Key("everything_dirty").Bool(i.everything_dirty);
-  w->Key("harc_cloned").Bool(i.harc_cloned);
+  w->Key("harc_cloned").Bool(false);  // No HARC is cloned; schema v1 is append-only.
   w->Key("dirty_destinations").Int(i.dirty_destinations);
   w->Key("dirty_traffic_classes").Int(i.dirty_traffic_classes);
   w->Key("groups_total").Int(i.groups_total);
@@ -221,7 +221,7 @@ void WriteIncremental(obs::JsonWriter* w, const CprReport& report) {
   w->Key("warm_misses").Int(0);  // Both always 0; schema v1 is append-only.
   w->Key("fell_back").Bool(i.fell_back);
   w->Key("diff_seconds").Double(i.diff_seconds);
-  w->Key("clone_seconds").Double(i.clone_seconds);
+  w->Key("clone_seconds").Double(0);  // Likewise always 0.
   w->Key("solve_seconds").Double(i.solve_seconds);
   w->Key("verify_seconds").Double(i.verify_seconds);
   w->EndObject();

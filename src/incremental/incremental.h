@@ -1,26 +1,26 @@
 // Incremental re-repair engine orchestration (DESIGN.md §12).
 //
-// Given a retained RepairSession and a new snapshot of the same lineage, the
-// engine (1) uses the config differ's dirty set to clone the session's HARC
-// onto the new snapshot, rebuilding only dirty destinations; (2) reuses the
-// baseline verdict of every clean satisfied group and hands exactly the
-// dirty groups back to the unchanged repair engine — the same per-problem
-// solves a full repair runs; (3) hands the merged edits to the shared
-// patch, re-verify and fallback routine (translate/patch.h): a from-scratch
-// network and HARC rebuild, a check of every policy, and one full-scope
-// repair on the rebuilt snapshot for any residual violation. A failed
-// scoped or fallback solve disengages the incremental result entirely and
-// the caller runs the full pipeline, so soundness never depends on the
-// dirty-set analysis or the HARC clone.
+// Given a retained RepairSession and a new snapshot of the same lineage,
+// with its HARC built from scratch like any snapshot's, the engine (1) diffs
+// the new HARC against the session's, ETG by ETG; (2) reuses the baseline
+// verdict of every satisfied group whose dETGs and tcETGs are unchanged and
+// hands exactly the other groups back to the unchanged repair engine — the
+// same per-problem solves a full repair runs; (3) hands the merged edits to
+// the shared patch, re-verify and fallback routine (translate/patch.h): a
+// from-scratch network and HARC rebuild, a check of every policy, and one
+// full-scope repair on the rebuilt snapshot for any residual violation. A
+// failed scoped or fallback solve disengages the incremental result entirely
+// and the caller runs the full pipeline, so soundness never depends on the
+// diff.
 
 #ifndef CPR_SRC_INCREMENTAL_INCREMENTAL_H_
 #define CPR_SRC_INCREMENTAL_INCREMENTAL_H_
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "arc/harc.h"
-#include "incremental/dirty.h"
 #include "incremental/session.h"
 #include "incremental/stats.h"
 #include "netbase/result.h"
@@ -31,6 +31,22 @@
 
 namespace cpr::incremental {
 
+// What an edit changed, read off two snapshots' HARCs. ETGs compare by
+// presence bits and weight overrides (Etg::SameEdges), and only when the
+// candidate-edge universes and the aETGs are equal: then subnet ids and
+// candidate edges mean the same thing in both snapshots.
+struct HarcDiff {
+  // The universes or the aETGs differ: nothing lines up, every group is
+  // dirty.
+  bool global = false;
+  // Destinations whose dETG changed, ascending.
+  std::vector<SubnetId> dsts;
+  // Traffic classes whose tcETG changed under an unchanged dETG, ascending.
+  std::vector<std::pair<SubnetId, SubnetId>> tcs;
+};
+
+HarcDiff DiffHarcs(const Harc& before, const Harc& after);
+
 struct IncrementalOutcome {
   // Engaged when the incremental path produced a concretely re-verified
   // repair; disengaged when it declined (stats say why) and the caller must
@@ -39,24 +55,13 @@ struct IncrementalOutcome {
   IncrementalStats stats;
 };
 
-// Clones the session's HARC onto `network`, rebuilding exactly the dirty
-// destinations and traffic classes. nullopt when the dirt is global or the
-// snapshots are not structurally clone-compatible (the caller builds from
-// scratch). Updates the preparation fields of `stats`.
-std::optional<Harc> PrepareHarc(const RepairSession& session, const Network& network,
-                                const DirtySet& dirty, IncrementalStats* stats);
-
-// Runs the incremental path on a prepared snapshot. `harc` is the current
-// snapshot's HARC (ideally from PrepareHarc); `seed` carries the stats
-// accumulated during preparation and is extended in place into
-// outcome.stats. Structural errors (unmappable PC4 paths, a patch breaking
-// the network) propagate as Error, mirroring the ordinary pipeline.
+// Runs the incremental path on the new snapshot `network` and its HARC.
+// Structural errors (unmappable PC4 paths, a patch breaking the network)
+// propagate as Error, mirroring the ordinary pipeline.
 Result<IncrementalOutcome> TryIncrementalRepair(const RepairSession& session,
                                                 const Network& network, const Harc& harc,
-                                                const DirtySet& dirty,
                                                 const std::vector<Policy>& policies,
-                                                const RepairOptions& options,
-                                                const IncrementalStats& seed);
+                                                const RepairOptions& options);
 
 }  // namespace cpr::incremental
 

@@ -4,10 +4,10 @@
 // verified-clean) configuration snapshot: the parsed network, its HARC, the
 // policy set, and a per-group verdict record over the repair engine's
 // must-solve-together destination groups. When the next snapshot of the
-// same lineage arrives, the incremental engine diffs it against the
-// session's configurations and reuses every clean group's verdict,
-// re-solving only the dirty ones. A session holds no solver state and is
-// never mutated once built.
+// same lineage arrives, the incremental engine diffs its HARC against the
+// session's and reuses every clean group's verdict, re-solving only the
+// dirty ones. A session holds no solver state and is never mutated once
+// built.
 
 #ifndef CPR_SRC_INCREMENTAL_SESSION_H_
 #define CPR_SRC_INCREMENTAL_SESSION_H_
@@ -36,13 +36,11 @@ struct GroupRecord {
   bool satisfied = false;
 };
 
-// Retained state of one snapshot. `network` owns the configurations
-// (network->configs() is the diffing baseline); `harc` is built over it and
-// is cloned — never mutated — by later re-repairs.
+// Retained state of one snapshot. `harc` is built over `network`; later
+// re-repairs diff their own HARC against it and never mutate it.
 struct RepairSession {
   std::shared_ptr<const Network> network;
   std::shared_ptr<const Harc> harc;
-  NetworkAnnotations annotations;
   std::vector<Policy> policies;
   std::vector<GroupRecord> groups;
 };
@@ -62,7 +60,6 @@ Result<std::shared_ptr<RepairSession>> BuildSession(std::vector<Config> configs,
 // only the group partition.
 std::shared_ptr<RepairSession> SessionFromVerified(std::shared_ptr<const Network> network,
                                                    std::shared_ptr<const Harc> harc,
-                                                   NetworkAnnotations annotations,
                                                    std::vector<Policy> policies,
                                                    const std::vector<Policy>& violations,
                                                    const RepairOptions& options);

@@ -20,16 +20,15 @@ struct IncrementalStats {
   bool applied = false;
   std::string skipped_reason;
 
-  // --- Differ / HARC preparation ---
-  // Devices whose configuration changed relative to the baseline snapshot.
+  // --- HARC diff (incremental.h, DiffHarcs) ---
+  // Devices whose parsed configuration differs from the baseline snapshot's.
   int devices_changed = 0;
-  // The differ proved the change is not destination-scopable (topology,
-  // adjacency, cost, or process changes): every ETG and group is dirty.
+  // The candidate-edge universe or the aETG changed (a topology, adjacency,
+  // cost or process edit): every ETG and group is dirty.
   bool everything_dirty = false;
-  // The baseline HARC was cloned onto the new snapshot (only dirty
-  // destinations rebuilt) instead of rebuilt from scratch.
-  bool harc_cloned = false;
+  // Destinations whose dETG changed.
   int dirty_destinations = 0;
+  // Traffic classes whose tcETG changed under an unchanged dETG.
   int dirty_traffic_classes = 0;
 
   // --- Group reuse ---
@@ -45,11 +44,11 @@ struct IncrementalStats {
   // The incremental result left residual violations after the concrete
   // re-verification (or the scoped solve failed) and the ordinary
   // full-repair pipeline ran instead. Soundness never depends on the
-  // dirty-set analysis: this flag is how a wrong dirty set surfaces.
+  // verdict reuse: this flag is how a wrong reused verdict surfaces.
   bool fell_back = false;
 
+  // The HARC diff and the changed-device count.
   double diff_seconds = 0;
-  double clone_seconds = 0;
   double solve_seconds = 0;
   double verify_seconds = 0;
 };

@@ -24,8 +24,8 @@ class Deadline {
 
   static Deadline Never() { return Deadline(); }
 
-  // A deadline `seconds` from now; <= 0 means unbounded (matching the
-  // RepairOptions convention).
+  // A deadline `seconds` from now; <= 0 means unbounded (the convention of
+  // solver timeouts and cprd's default budget).
   static Deadline After(double seconds) {
     Deadline deadline;
     if (seconds > 0) {
@@ -37,9 +37,9 @@ class Deadline {
   }
 
   // A deadline that has already passed. This is how "zero budget" is spelled
-  // explicitly: After(0) means unbounded for historical CLI reasons, but a
-  // server that computes `remaining = budget - elapsed` and lands on <= 0
-  // must produce a deadline that is expired, not one that never expires.
+  // explicitly: After(0) means unbounded, but a server that computes
+  // `remaining = budget - elapsed` and lands on <= 0 must produce a deadline
+  // that is expired, not one that never expires.
   static Deadline Exhausted() {
     Deadline deadline;
     deadline.bounded_ = true;

@@ -106,15 +106,11 @@ struct RepairOptions {
   double timeout_seconds = 0;
 
   // --- Robustness controls (degraded modes; see DESIGN.md §6) ---
-  // Total wall-clock budget for the whole repair; every per-problem solver
-  // call derives its timeout from the remaining budget. <= 0 means
-  // unbounded.
-  double deadline_seconds = 0;
-  // Absolute wall-clock deadline; when bounded it takes precedence over
-  // deadline_seconds. This is how a server propagates a per-request budget
-  // that started ticking at admission (queue wait included): an already
-  // expired deadline makes the repair return RepairStatus::kDeadlineExceeded
-  // immediately, before any solver work.
+  // Absolute wall-clock deadline for the whole repair, every phase of it:
+  // each per-problem solver call derives its timeout from the remaining
+  // budget. The CLI starts it when the repair starts; cprd at admission, so
+  // queue wait counts. An already expired deadline makes the repair return
+  // RepairStatus::kDeadlineExceeded immediately, before any solver work.
   Deadline deadline = Deadline::Never();
   // Shared cross-request solve executor; nullptr means "run the drain
   // tasks on local threads" (the CLI path). See SolveTaskRunner above.

@@ -176,8 +176,7 @@ std::string ProblemKey(const RepairProblem& problem) {
 // wrapped in deterministic fault injection, always wrapped in the
 // failover/retry/exception-isolation decorator. Each task owns its own stack
 // (Z3 contexts are created per call, so tasks never share Z3 state).
-std::unique_ptr<MaxSmtBackend> MakeWorkerBackend(const RepairOptions& options,
-                                                 const Deadline& deadline) {
+std::unique_ptr<MaxSmtBackend> MakeWorkerBackend(const RepairOptions& options) {
   std::unique_ptr<MaxSmtBackend> primary = options.backend == BackendChoice::kZ3
                                                ? MakeZ3Backend()
                                                : MakeInternalBackend();
@@ -200,14 +199,15 @@ std::unique_ptr<MaxSmtBackend> MakeWorkerBackend(const RepairOptions& options,
   }
   FailoverPolicy policy;
   policy.max_retries = options.max_retries;
-  policy.deadline = deadline;
+  policy.deadline = options.deadline;
   return MakeFailoverBackend(std::move(primary), std::move(secondary), policy);
 }
 
 }  // namespace
 
 Result<RepairOutcome> SolveProblemSet(const std::vector<HarcProblem>& problems,
-                                      const RepairOptions& options, const Deadline& deadline) {
+                                      const RepairOptions& options) {
+  const Deadline& deadline = options.deadline;
   RepairOutcome outcome;
   if (problems.empty()) {
     outcome.status = RepairStatus::kNoViolations;
@@ -308,7 +308,7 @@ Result<RepairOutcome> SolveProblemSet(const std::vector<HarcProblem>& problems,
     auto drain = [&]() {
       obs::RegistryScope registry_scope(request_registry);
       obs::TraceScope trace_scope(request_trace, solve_span.index());
-      std::unique_ptr<MaxSmtBackend> backend = MakeWorkerBackend(options, deadline);
+      std::unique_ptr<MaxSmtBackend> backend = MakeWorkerBackend(options);
       for (size_t slot = next++; slot < order.size(); slot = next++) {
         solve_one(order[slot], backend.get());
       }
@@ -555,18 +555,11 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
                                     const std::vector<Policy>& policies,
                                     const RepairOptions& options) {
   Clock::time_point wall_start = Clock::now();
-  // Shared wall-clock budget for the whole run; partitioning and encoding
-  // draw it down too. An absolute deadline (per-request budget started at
-  // admission) takes precedence over the relative deadline_seconds
-  // convenience.
-  Deadline deadline = options.deadline.unbounded()
-                          ? Deadline::After(options.deadline_seconds)
-                          : options.deadline;
   // A budget that is already gone — zero, negative, or consumed by queue
-  // wait — fails fast with a clean, empty report: no partitioning, no
-  // encoding, no solver calls. (Mid-run exhaustion still reports kTimeout
-  // per problem, preserving partial-merge semantics.)
-  if (deadline.Expired()) {
+  // wait or an earlier phase — fails fast with a clean, empty report: no
+  // partitioning, no encoding, no solver calls. (Mid-run exhaustion still
+  // reports kTimeout per problem, preserving partial-merge semantics.)
+  if (options.deadline.Expired()) {
     RepairOutcome outcome;
     outcome.status = RepairStatus::kDeadlineExceeded;
     outcome.stats.wall_seconds = Seconds(wall_start);
@@ -587,7 +580,7 @@ Result<RepairOutcome> ComputeRepair(const Harc& original,
   for (const Policy& policy : policies) {
     policied_dsts.insert(policy.dst);
   }
-  Result<RepairOutcome> outcome = SolveProblemSet(problems, options, deadline);
+  Result<RepairOutcome> outcome = SolveProblemSet(problems, options);
   if (outcome.ok()) {
     outcome->stats.destinations_skipped =
         static_cast<int>(policied_dsts.size()) - static_cast<int>(covered.size());

@@ -198,10 +198,10 @@ struct HarcProblem {
 // solver stack. The tasks run on `options.solve_runner` when one is set and
 // on local threads otherwise. Reports, certificates, edits and provenance
 // merge in input order: problem i is ProblemReport i and provenance problem
-// i. `deadline` bounds every solver call. An empty set is kNoViolations.
-// Structural encoding errors are reported as Error.
+// i. `options.deadline` bounds every solver call. An empty set is
+// kNoViolations. Structural encoding errors are reported as Error.
 Result<RepairOutcome> SolveProblemSet(const std::vector<HarcProblem>& problems,
-                                      const RepairOptions& options, const Deadline& deadline);
+                                      const RepairOptions& options);
 
 // Computes a repair: PartitionProblems, then the problem-set pass. Structural
 // errors (e.g. an unmappable PC4 path) are reported as Error; solver-level

@@ -446,8 +446,9 @@ Daemon::Attempt Daemon::ExecuteOnce(Request* request) {
   std::shared_ptr<const Cpr> pipeline;
   std::shared_ptr<compress::CompressionCache> compression;
   if (session != nullptr) {
-    // Incremental path: skip the snapshot cache — its from-scratch HARC
-    // build is exactly the cost the session's clone-and-rebuild avoids.
+    // Incremental path: skip the snapshot cache. A cached Cpr is shared
+    // across requests and carries no session, so this request builds its
+    // own pipeline on the session.
     Result<NetworkAnnotations> annotations = ParseSpecAnnotations(inputs->policy_text);
     if (!annotations.ok()) {
       return reject_with_session(annotations.error().message());
@@ -506,9 +507,10 @@ Daemon::Attempt Daemon::ExecuteOnce(Request* request) {
     std::shared_ptr<const incremental::RepairSession> next;
     if (report->Sound() && report->repaired_harc != nullptr &&
         !request->deadline.Expired()) {
-      next = incremental::SessionFromVerified(
-          report->repaired_network, report->repaired_harc, report->patched_annotations,
-          *policies, report->residual_graph_violations, options->repair);
+      next = incremental::SessionFromVerified(report->repaired_network,
+                                              report->repaired_harc, *policies,
+                                              report->residual_graph_violations,
+                                              options->repair);
       serve_metrics_.counter("serve.sessions.retained").Increment();
     }
     if (next == nullptr) {

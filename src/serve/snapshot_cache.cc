@@ -68,16 +68,6 @@ void SnapshotCache::Touch(std::list<Entry>::iterator it) {
   lru_.splice(lru_.begin(), lru_, it);
 }
 
-Result<std::shared_ptr<const Cpr>> SnapshotCache::GetOrBuild(
-    const std::string& source, const std::vector<std::string>& config_texts,
-    const std::string& policy_text) {
-  Result<Snapshot> snapshot = GetOrBuildSnapshot(source, config_texts, policy_text);
-  if (!snapshot.ok()) {
-    return snapshot.error();
-  }
-  return std::move(snapshot->cpr);
-}
-
 Result<Snapshot> SnapshotCache::GetOrBuildSnapshot(
     const std::string& source, const std::vector<std::string>& config_texts,
     const std::string& policy_text) {

@@ -54,14 +54,9 @@ class SnapshotCache {
   // not a per-request one.
   explicit SnapshotCache(size_t capacity, obs::Registry* registry = nullptr);
 
-  // Returns the pipeline for this snapshot, building it on a miss. `source`
-  // identifies where the snapshot came from (the request's config_dir) and
-  // anchors differ-driven invalidation.
-  Result<std::shared_ptr<const Cpr>> GetOrBuild(
-      const std::string& source, const std::vector<std::string>& config_texts,
-      const std::string& policy_text);
-
-  // Like GetOrBuild, also returning the entry's compression cache.
+  // Returns the pipeline and compression cache for this snapshot, building
+  // them on a miss. `source` identifies where the snapshot came from (the
+  // request's config_dir) and anchors differ-driven invalidation.
   Result<Snapshot> GetOrBuildSnapshot(const std::string& source,
                                       const std::vector<std::string>& config_texts,
                                       const std::string& policy_text);

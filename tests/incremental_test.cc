@@ -1,17 +1,18 @@
 // Incremental re-repair engine tests (src/incremental/, DESIGN.md §12).
 //
 // The contract under test: incremental re-repair is an accelerator, never an
-// oracle. The differ may over-mark (costing time) but scoped dirt must cover
-// the edit's real blast radius for the cheap path to engage; whatever the
-// dirty set says, the engine's final answer is concretely re-verified and
-// falls back to a full repair on any residual — so for every defect kind the
-// incremental verdict must match a from-scratch repair exactly, at no worse
-// predicted cost.
+// oracle. The HARC diff scopes an edit exactly to the dETGs and tcETGs it
+// changed, and declines when the candidate edges or the aETG changed; but
+// whatever verdicts it reuses, the engine's final answer is concretely
+// re-verified and falls back to a full repair on any residual — so for every
+// defect kind the incremental verdict must match a from-scratch repair
+// exactly, at no worse predicted cost.
 
 #include "incremental/incremental.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -22,7 +23,6 @@
 #include "config/parser.h"
 #include "config/printer.h"
 #include "core/cpr.h"
-#include "incremental/dirty.h"
 #include "incremental/session.h"
 #include "smt/certificate.h"
 #include "solver/backend.h"
@@ -58,11 +58,6 @@ std::vector<std::string> Edited(std::vector<std::string> texts, size_t index,
   return texts;
 }
 
-DirtySet Diff(const std::vector<std::string>& before,
-              const std::vector<std::string>& after) {
-  return ComputeDirtySet(ParseAll(before), {}, ParseAll(after), {});
-}
-
 RepairOptions InternalOptions() {
   RepairOptions options;
   options.backend = BackendChoice::kInternal;
@@ -71,92 +66,170 @@ RepairOptions InternalOptions() {
   return options;
 }
 
+// An edit to the example network as the engine sees it: the HARC diff
+// against a session of the unedited snapshot, and the stats of a run on it
+// (the session has no policies, so only the diff's own stats matter).
+struct EditScope {
+  HarcDiff diff;
+  IncrementalStats stats;
+
+  // Whether the destination's dETG changed. Subnet ids are the example
+  // network's, which a non-global diff keeps.
+  bool DstDirty(const Ipv4Prefix& dst) const {
+    return std::binary_search(diff.dsts.begin(), diff.dsts.end(), Id(dst));
+  }
+  // Whether the traffic class's tcETG changed under an unchanged dETG.
+  bool TcDirty(const Ipv4Prefix& src, const Ipv4Prefix& dst) const {
+    return std::binary_search(diff.tcs.begin(), diff.tcs.end(),
+                              std::make_pair(Id(src), Id(dst)));
+  }
+  bool Clean() const { return !diff.global && diff.dsts.empty() && diff.tcs.empty(); }
+
+  static SubnetId Id(const Ipv4Prefix& prefix) {
+    return *BuildExampleNetwork().FindSubnet(prefix);
+  }
+};
+
+EditScope ScopeOf(const std::vector<std::string>& after,
+                  NetworkAnnotations before_annotations = {},
+                  NetworkAnnotations after_annotations = {}) {
+  EditScope scope;
+  Result<std::shared_ptr<RepairSession>> session = BuildSession(
+      ParseAll(ExampleTexts()), std::move(before_annotations), {}, InternalOptions());
+  Result<Cpr> pipeline = Cpr::FromConfigTexts(after, std::move(after_annotations));
+  if (!session.ok() || !pipeline.ok()) {
+    ADD_FAILURE() << "snapshot failed to build";
+    return scope;
+  }
+  scope.diff = DiffHarcs(*(*session)->harc, pipeline->harc());
+  Result<IncrementalOutcome> outcome = TryIncrementalRepair(
+      **session, pipeline->network(), pipeline->harc(), {}, InternalOptions());
+  if (!outcome.ok()) {
+    ADD_FAILURE() << outcome.error().message();
+    return scope;
+  }
+  scope.stats = outcome->stats;
+  // The run declines exactly when the diff is global.
+  EXPECT_EQ(outcome->stats.applied, !scope.diff.global) << outcome->stats.skipped_reason;
+  EXPECT_EQ(outcome->stats.everything_dirty, scope.diff.global);
+  return scope;
+}
+
 // ---------------------------------------------------------------------------
-// Differ: scoping per construct class.
+// HARC diff: an edit's scope is the ETGs it changed.
 
-TEST(DirtySetTest, IdenticalSnapshotsAreClean) {
-  DirtySet dirty = Diff(ExampleTexts(), ExampleTexts());
-  EXPECT_TRUE(dirty.Clean());
-  EXPECT_EQ(dirty.devices_changed, 0);
+TEST(IncrementalScopeTest, IdenticalSnapshotsAreClean) {
+  EditScope scope = ScopeOf(ExampleTexts());
+  EXPECT_TRUE(scope.Clean());
+  EXPECT_EQ(scope.stats.devices_changed, 0);
 }
 
-TEST(DirtySetTest, DescriptionEditIsClean) {
-  DirtySet dirty = Diff(ExampleTexts(),
-                        Edited(ExampleTexts(), 1, "description Link-to-A",
-                               "description uplink (renamed)"));
-  EXPECT_TRUE(dirty.Clean());
-  EXPECT_EQ(dirty.devices_changed, 1);
+TEST(IncrementalScopeTest, DescriptionEditIsClean) {
+  EditScope scope = ScopeOf(
+      Edited(ExampleTexts(), 1, "description Link-to-A", "description uplink (renamed)"));
+  EXPECT_TRUE(scope.Clean());
+  EXPECT_EQ(scope.stats.devices_changed, 1);
 }
 
-TEST(DirtySetTest, AclEntryEditScopesToItsTrafficClasses) {
-  // B's BLOCK-U list is [deny any->10.30/16, permit any any]. Retargeting the
-  // deny leaves the trailing permit in the common tail, so only the two deny
-  // patterns (old and new) are dirty — not the whole network.
-  DirtySet dirty = Diff(ExampleTexts(),
-                        Edited(ExampleTexts(), 1, "deny ip any 10.30.0.0/16",
-                               "deny ip any 10.31.0.0/16"));
-  EXPECT_FALSE(dirty.everything);
-  EXPECT_TRUE(dirty.dst_prefixes.empty());
-  EXPECT_TRUE(dirty.TcPairDirty(ExampleSubnetS(), ExampleSubnetU()));
-  EXPECT_FALSE(dirty.TcPairDirty(ExampleSubnetS(), ExampleSubnetT()));
-  EXPECT_FALSE(dirty.DstDirty(ExampleSubnetT()));
+TEST(IncrementalScopeTest, AclEntryEditScopesToItsTrafficClasses) {
+  // B's BLOCK-U list is [deny any->10.30/16, permit any any], bound on the
+  // link from A. Retargeting the deny gives every class toward U the A->B
+  // edge back and changes nothing else: no dETG, no other tcETG.
+  EditScope scope = ScopeOf(
+      Edited(ExampleTexts(), 1, "deny ip any 10.30.0.0/16", "deny ip any 10.31.0.0/16"));
+  EXPECT_FALSE(scope.diff.global);
+  EXPECT_TRUE(scope.diff.dsts.empty());
+  EXPECT_TRUE(scope.TcDirty(ExampleSubnetS(), ExampleSubnetU()));
+  EXPECT_FALSE(scope.TcDirty(ExampleSubnetS(), ExampleSubnetT()));
+  EXPECT_FALSE(scope.DstDirty(ExampleSubnetT()));
+  EXPECT_EQ(scope.stats.dirty_traffic_classes, 3);  // R, S and T toward U.
 }
 
-TEST(DirtySetTest, StaticRouteAddScopesToItsDestination) {
-  DirtySet dirty =
-      Diff(ExampleTexts(), Edited(ExampleTexts(), 0, "router ospf 10",
-                                  "ip route 10.20.0.0/16 10.0.1.2\n!\nrouter ospf 10"));
-  EXPECT_FALSE(dirty.everything);
-  EXPECT_TRUE(dirty.DstDirty(ExampleSubnetT()));
-  EXPECT_FALSE(dirty.DstDirty(ExampleSubnetU()));
-  EXPECT_FALSE(dirty.TcPairDirty(ExampleSubnetS(), ExampleSubnetU()));
+TEST(IncrementalScopeTest, StaticRouteAddScopesToItsDestination) {
+  // A static route toward T across the A-C link, which carries no
+  // adjacency (C's side is passive), adds an edge to T's dETG only. Its
+  // tcETGs change with it and count under the destination.
+  NetworkAnnotations annotations;
+  annotations.waypoint_links.insert({"B", "C"});
+  EditScope scope = ScopeOf(Edited(ExampleTexts(), 0, "router ospf 10",
+                                   "ip route 10.20.0.0/16 10.0.2.3\n!\nrouter ospf 10"),
+                            annotations, annotations);
+  EXPECT_FALSE(scope.diff.global);
+  EXPECT_TRUE(scope.DstDirty(ExampleSubnetT()));
+  EXPECT_FALSE(scope.DstDirty(ExampleSubnetU()));
+  EXPECT_FALSE(scope.TcDirty(ExampleSubnetS(), ExampleSubnetU()));
+  EXPECT_EQ(scope.stats.dirty_destinations, 1);
+  EXPECT_EQ(scope.stats.dirty_traffic_classes, 0);
+
+  // The same route across the A-B link, which already carries the OSPF
+  // adjacency, adds no edge: the dETG, and hence the scope, is unchanged.
+  EXPECT_TRUE(ScopeOf(Edited(ExampleTexts(), 0, "router ospf 10",
+                             "ip route 10.20.0.0/16 10.0.1.2\n!\nrouter ospf 10"),
+                      annotations, annotations)
+                  .Clean());
 }
 
-TEST(DirtySetTest, InterfaceAddressEditDirtiesEverything) {
-  DirtySet dirty = Diff(ExampleTexts(), Edited(ExampleTexts(), 2, "10.0.2.3/24",
-                                               "10.0.2.4/24"));
-  EXPECT_TRUE(dirty.everything);
-  // Global dirt subsumes scoped dirt; nothing double-reports.
-  EXPECT_TRUE(dirty.dst_prefixes.empty());
-  EXPECT_TRUE(dirty.tc_dirt.empty());
+TEST(IncrementalScopeTest, InterfaceAddressEditDirtiesEverything) {
+  // Moving C's end of the A-C link to another subnet removes the link and
+  // adds two host subnets: the candidate edges differ.
+  EXPECT_TRUE(
+      ScopeOf(Edited(ExampleTexts(), 2, "10.0.2.3/24", "10.0.4.3/24")).diff.global);
+  // Renumbering within the link's subnet keeps every candidate edge and ETG.
+  EXPECT_TRUE(ScopeOf(Edited(ExampleTexts(), 2, "10.0.2.3/24", "10.0.2.4/24")).Clean());
 }
 
-TEST(DirtySetTest, RoutingProcessEditDirtiesEverything) {
-  DirtySet dirty = Diff(ExampleTexts(),
-                        Edited(ExampleTexts(), 2, " passive-interface Ethernet0/1\n", ""));
-  EXPECT_TRUE(dirty.everything);
+TEST(IncrementalScopeTest, OspfCostEditDirtiesEverything) {
+  // A cost is a candidate edge's default weight.
+  EditScope scope = ScopeOf(Edited(ExampleTexts(), 1, "ip address 10.0.3.2/24",
+                                   "ip address 10.0.3.2/24\n ip ospf cost 50"));
+  EXPECT_TRUE(scope.diff.global);
+  EXPECT_TRUE(scope.diff.dsts.empty());
+  EXPECT_TRUE(scope.diff.tcs.empty());
 }
 
-TEST(DirtySetTest, AclBindingAppearingDirtiesEverything) {
-  // A binding appearing flips the unmatched-traffic default from permit-all
-  // to the list's implicit deny: not scopable to the list's entries.
-  DirtySet dirty = Diff(ExampleTexts(),
-                        Edited(ExampleTexts(), 1, "ip address 10.0.3.2/24",
-                               "ip address 10.0.3.2/24\n ip access-group BLOCK-U in"));
-  EXPECT_TRUE(dirty.everything);
+TEST(IncrementalScopeTest, RoutingProcessEditDirtiesEverything) {
+  // Without the passive interface, A and C form an adjacency: the aETG
+  // differs, and the engine declines.
+  EditScope scope =
+      ScopeOf(Edited(ExampleTexts(), 2, " passive-interface Ethernet0/1\n", ""));
+  EXPECT_TRUE(scope.diff.global);
+  EXPECT_TRUE(scope.stats.everything_dirty);
+  EXPECT_FALSE(scope.stats.skipped_reason.empty());
 }
 
-TEST(DirtySetTest, UnreferencedAclEditIsClean) {
-  DirtySet dirty = Diff(
-      ExampleTexts(),
-      Edited(ExampleTexts(), 2, "router ospf 10",
-             "ip access-list extended UNUSED\n deny ip any 10.1.0.0/16\n!\nrouter ospf 10"));
-  EXPECT_TRUE(dirty.Clean());
+TEST(IncrementalScopeTest, AclBindingAppearingScopesToTheTrafficItDenies) {
+  // Binding BLOCK-U on B's link from C denies the classes toward U that
+  // edge; its trailing permit keeps every other class as it was.
+  EditScope scope = ScopeOf(Edited(ExampleTexts(), 1, "ip address 10.0.3.2/24",
+                                   "ip address 10.0.3.2/24\n ip access-group BLOCK-U in"));
+  EXPECT_FALSE(scope.diff.global);
+  EXPECT_TRUE(scope.diff.dsts.empty());
+  EXPECT_TRUE(scope.TcDirty(ExampleSubnetT(), ExampleSubnetU()));
+  EXPECT_FALSE(scope.TcDirty(ExampleSubnetU(), ExampleSubnetT()));
+  EXPECT_EQ(scope.stats.dirty_traffic_classes, 3);  // R, S and T toward U.
 }
 
-TEST(DirtySetTest, DeviceSetChangeDirtiesEverything) {
-  std::vector<std::string> two = {kExampleConfigA, kExampleConfigB};
-  DirtySet dirty = ComputeDirtySet(ParseAll(ExampleTexts()), {}, ParseAll(two), {});
-  EXPECT_TRUE(dirty.everything);
+TEST(IncrementalScopeTest, UnreferencedAclEditIsClean) {
+  EditScope scope = ScopeOf(Edited(
+      ExampleTexts(), 2, "router ospf 10",
+      "ip access-list extended UNUSED\n deny ip any 10.1.0.0/16\n!\nrouter ospf 10"));
+  EXPECT_TRUE(scope.Clean());
 }
 
-TEST(DirtySetTest, WaypointAnnotationChangeDirtiesEverything) {
+TEST(IncrementalScopeTest, DeviceSetChangeDirtiesEverything) {
+  EXPECT_TRUE(ScopeOf({kExampleConfigA, kExampleConfigB}).diff.global);
+}
+
+TEST(IncrementalScopeTest, ReorderedDeviceConfigsDirtiesEverything) {
+  // Device and process ids follow config order, and candidate edges name
+  // them: a reordered snapshot does not line up with the session.
+  EXPECT_TRUE(ScopeOf({kExampleConfigC, kExampleConfigA, kExampleConfigB}).diff.global);
+}
+
+TEST(IncrementalScopeTest, WaypointAnnotationChangeDirtiesEverything) {
   NetworkAnnotations before;
   before.waypoint_links.insert({"B", "C"});
-  NetworkAnnotations after;
-  DirtySet dirty =
-      ComputeDirtySet(ParseAll(ExampleTexts()), before, ParseAll(ExampleTexts()), after);
-  EXPECT_TRUE(dirty.everything);
+  EXPECT_TRUE(ScopeOf(ExampleTexts(), before, {}).diff.global);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,9 +285,10 @@ TEST(SessionTest, VerifiedSnapshotRecordsWhatABuildRecords) {
   Result<CprReport> repaired = broken->Repair(scenario.policies, options);
   ASSERT_TRUE(repaired.ok() && repaired->Sound());
   ASSERT_NE(repaired->repaired_harc, nullptr);
-  std::shared_ptr<RepairSession> handed = SessionFromVerified(
-      repaired->repaired_network, repaired->repaired_harc, repaired->patched_annotations,
-      scenario.policies, repaired->residual_graph_violations, options.repair);
+  std::shared_ptr<RepairSession> handed =
+      SessionFromVerified(repaired->repaired_network, repaired->repaired_harc,
+                          scenario.policies, repaired->residual_graph_violations,
+                          options.repair);
   Result<std::shared_ptr<RepairSession>> built =
       BuildSession(repaired->patched_configs, repaired->patched_annotations,
                    scenario.policies, options.repair);
@@ -227,55 +301,13 @@ TEST(SessionTest, VerifiedSnapshotRecordsWhatABuildRecords) {
   ASSERT_TRUE(network.ok()) << network.error().message();
   auto shared = std::make_shared<const Network>(std::move(network).value());
   auto harc = std::make_shared<const Harc>(Harc::Build(*shared));
-  std::shared_ptr<RepairSession> unsound =
-      SessionFromVerified(shared, harc, scenario.annotations, scenario.policies,
-                          FindViolations(*harc, scenario.policies), options.repair);
+  std::shared_ptr<RepairSession> unsound = SessionFromVerified(
+      shared, harc, scenario.policies, FindViolations(*harc, scenario.policies),
+      options.repair);
   built = BuildSession(ParseAll(scenario.broken_configs), scenario.annotations,
                        scenario.policies, options.repair);
   ASSERT_TRUE(built.ok()) << built.error().message();
   ExpectSameGroups(*unsound, **built);
-}
-
-// ---------------------------------------------------------------------------
-// HARC preparation.
-
-TEST(PrepareHarcTest, RebuildsOnlyDirtyDestinations) {
-  std::vector<std::string> before = ExampleTexts();
-  std::vector<std::string> after =
-      Edited(before, 0, "router ospf 10", "ip route 10.20.0.0/16 10.0.1.2\n!\nrouter ospf 10");
-  NetworkAnnotations annotations;
-  annotations.waypoint_links.insert({"B", "C"});
-
-  Result<std::shared_ptr<RepairSession>> session =
-      BuildSession(ParseAll(before), annotations, {}, InternalOptions());
-  ASSERT_TRUE(session.ok()) << session.error().message();
-
-  Result<Network> network = Network::Build(ParseAll(after), annotations);
-  ASSERT_TRUE(network.ok()) << network.error().message();
-  DirtySet dirty = ComputeDirtySet((*session)->network->configs(), annotations,
-                                   network->configs(), annotations);
-  ASSERT_FALSE(dirty.everything);
-
-  IncrementalStats stats;
-  std::optional<Harc> prepared = PrepareHarc(**session, *network, dirty, &stats);
-  ASSERT_TRUE(prepared.has_value());
-  EXPECT_TRUE(stats.harc_cloned);
-  EXPECT_EQ(stats.dirty_destinations, 1);  // Exactly subnet T.
-  EXPECT_FALSE(stats.everything_dirty);
-}
-
-TEST(PrepareHarcTest, GlobalDirtDeclines) {
-  Result<std::shared_ptr<RepairSession>> session =
-      BuildSession(ParseAll(ExampleTexts()), {}, {}, InternalOptions());
-  ASSERT_TRUE(session.ok()) << session.error().message();
-  Result<Network> network = Network::Build(ParseAll(ExampleTexts()), {});
-  ASSERT_TRUE(network.ok());
-  DirtySet dirty;
-  dirty.everything = true;
-  IncrementalStats stats;
-  EXPECT_FALSE(PrepareHarc(**session, *network, dirty, &stats).has_value());
-  EXPECT_FALSE(stats.harc_cloned);
-  EXPECT_TRUE(stats.everything_dirty);
 }
 
 // ---------------------------------------------------------------------------
@@ -291,13 +323,10 @@ TEST(IncrementalEngineTest, UnchangedSnapshotReusesEveryGroupVerdict) {
   Result<Network> network =
       Network::Build(ParseAll(scenario.working_configs), scenario.annotations);
   ASSERT_TRUE(network.ok());
-  DirtySet dirty;  // Identical snapshot: clean.
-  IncrementalStats seed;
-  std::optional<Harc> harc = PrepareHarc(**session, *network, dirty, &seed);
-  ASSERT_TRUE(harc.has_value());
+  const Harc harc = Harc::Build(*network);
 
-  Result<IncrementalOutcome> outcome = TryIncrementalRepair(
-      **session, *network, *harc, dirty, scenario.policies, options, seed);
+  Result<IncrementalOutcome> outcome =
+      TryIncrementalRepair(**session, *network, harc, scenario.policies, options);
   ASSERT_TRUE(outcome.ok()) << outcome.error().message();
   ASSERT_TRUE(outcome->result.has_value()) << outcome->stats.skipped_reason;
   EXPECT_EQ(outcome->result->status, RepairStatus::kNoViolations);
@@ -312,31 +341,35 @@ TEST(IncrementalEngineTest, UnchangedSnapshotReusesEveryGroupVerdict) {
 }
 
 TEST(IncrementalEngineTest, ConcreteReverifyCatchesUnderMarkedDirtAndFallsBack) {
-  // Simulate a differ bug: the snapshot really changed (broken configs), but
-  // the dirty set claims nothing did. Every verdict is wrongly reused — and
-  // the concrete re-verification must catch it and run the full-scope
-  // fallback, ending in a sound repair. Soundness never rests on the differ.
-  // With certification on, the fallback problems' verdicts must also reach
-  // the merged totals that the stats-json "certify" section reports.
+  // Simulate a wrong verdict: the session of the broken snapshot claims its
+  // violated groups are satisfied, and the same snapshot arrives again. The
+  // diff is clean, so every verdict is wrongly reused — and the concrete
+  // re-verification must catch it and run the full-scope fallback, ending in
+  // a sound repair. Soundness never rests on the reused verdicts. With
+  // certification on, the fallback problems' verdicts must also reach the
+  // merged totals that the stats-json "certify" section reports.
   FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kAlwaysBlocked, 4, 11);
   for (certify::CertifyMode mode : {certify::CertifyMode::kOff, certify::CertifyMode::kOn}) {
     SCOPED_TRACE(certify::CertifyModeName(mode));
     RepairOptions options = InternalOptions();
     options.certify = mode;
     Result<std::shared_ptr<RepairSession>> session = BuildSession(
-        ParseAll(scenario.working_configs), scenario.annotations, scenario.policies, options);
+        ParseAll(scenario.broken_configs), scenario.annotations, scenario.policies, options);
     ASSERT_TRUE(session.ok()) << session.error().message();
+    int tampered = 0;
+    for (GroupRecord& group : (*session)->groups) {
+      tampered += group.satisfied ? 0 : 1;
+      group.satisfied = true;
+    }
+    ASSERT_GT(tampered, 0);
 
     Result<Network> network =
         Network::Build(ParseAll(scenario.broken_configs), scenario.annotations);
     ASSERT_TRUE(network.ok());
-    DirtySet lying_dirty;  // Claims clean.
-    IncrementalStats seed;
-    std::optional<Harc> harc = PrepareHarc(**session, *network, lying_dirty, &seed);
-    ASSERT_TRUE(harc.has_value());  // Same topology: clone-compatible.
+    const Harc harc = Harc::Build(*network);
 
-    Result<IncrementalOutcome> outcome = TryIncrementalRepair(
-        **session, *network, *harc, lying_dirty, scenario.policies, options, seed);
+    Result<IncrementalOutcome> outcome =
+        TryIncrementalRepair(**session, *network, harc, scenario.policies, options);
     ASSERT_TRUE(outcome.ok()) << outcome.error().message();
     ASSERT_TRUE(outcome->result.has_value()) << outcome->stats.skipped_reason;
     EXPECT_TRUE(outcome->stats.fell_back);
@@ -359,6 +392,56 @@ TEST(IncrementalEngineTest, ConcreteReverifyCatchesUnderMarkedDirtAndFallsBack) 
     EXPECT_EQ(stats.certify_verified, verified);
     EXPECT_EQ(stats.certify_failed, 0);
   }
+}
+
+// One lint defect that changes no ETG, planted on a repaired fat-tree. The
+// edit touches a routing process or an ACL binding, yet every dETG and
+// tcETG stays as it was, so the incremental run must engage and reuse every
+// group's verdict.
+void ExpectEveryGroupReused(int DirtyOptions::* kind) {
+  FatTreeScenario scenario = MakeFatTreeScenario(4, PolicyClass::kAlwaysBlocked, 4, 11);
+  CprOptions options;
+  options.repair = InternalOptions();
+  options.lint_mode = LintMode::kWarnOnly;  // The defects are lintable by design.
+  options.validate_with_simulator = false;
+  Result<Cpr> broken = Cpr::FromConfigTexts(scenario.broken_configs, scenario.annotations);
+  ASSERT_TRUE(broken.ok()) << broken.error().message();
+  Result<CprReport> repaired = broken->Repair(scenario.policies, options);
+  ASSERT_TRUE(repaired.ok() && repaired->Sound());
+  std::vector<std::string> texts;
+  for (const Config& config : repaired->patched_configs) {
+    texts.push_back(PrintConfig(config));
+  }
+  DirtyOptions defect;
+  defect.seed = 13;
+  defect.*kind = 1;
+  Result<int> planted = SeedLintDefects(&texts, defect);
+  ASSERT_TRUE(planted.ok() && *planted == 1);
+
+  Result<std::shared_ptr<RepairSession>> session =
+      BuildSession(repaired->patched_configs, repaired->patched_annotations,
+                   scenario.policies, options.repair);
+  ASSERT_TRUE(session.ok()) << session.error().message();
+  Result<Cpr> pipeline = Cpr::FromBaseline(*session, texts, repaired->patched_annotations);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.error().message();
+  Result<CprReport> report = pipeline->Repair(scenario.policies, options);
+  ASSERT_TRUE(report.ok()) << report.error().message();
+  const IncrementalStats& stats = report->incremental;
+  ASSERT_TRUE(stats.applied) << stats.skipped_reason;
+  EXPECT_EQ(stats.devices_changed, 1);
+  EXPECT_EQ(stats.dirty_destinations + stats.dirty_traffic_classes, 0);
+  EXPECT_EQ(stats.groups_reused, stats.groups_total);
+  EXPECT_FALSE(stats.fell_back);
+  EXPECT_TRUE(report->Sound());
+}
+
+TEST(IncrementalEngineTest, UnknownPassiveInterfaceReusesEveryGroup) {
+  ExpectEveryGroupReused(&DirtyOptions::unknown_passive_interfaces);
+}
+
+TEST(IncrementalEngineTest, UndefinedAclBindingReusesEveryGroup) {
+  // A binding to an undefined ACL permits all traffic.
+  ExpectEveryGroupReused(&DirtyOptions::undefined_acl_refs);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/cpr.h"
+#include "incremental/session.h"
 #include "netbase/deadline.h"
 #include "repair/repair.h"
 #include "smt/sat_solver.h"
@@ -432,7 +433,7 @@ TEST_F(RobustRepairTest, ExhaustedDeadlineRejectsWithoutSolving) {
 
 TEST_F(RobustRepairTest, TinyDeadlineSecondsAlsoRejectsCleanly) {
   RepairOptions options = BaseOptions();
-  options.deadline_seconds = 1e-9;  // Expired before the first solver call.
+  options.deadline = Deadline::FromBudget(1e-9);  // Expired before the first solver call.
   Result<RepairOutcome> outcome = ComputeRepair(harc_, TwoProblemPolicies(), options);
   ASSERT_TRUE(outcome.ok());
   // A nonzero-but-vanishing budget expires somewhere between entry and the
@@ -448,15 +449,6 @@ TEST_F(RobustRepairTest, TinyDeadlineSecondsAlsoRejectsCleanly) {
   }
 }
 
-TEST_F(RobustRepairTest, AbsoluteDeadlineTakesPrecedenceOverBudgetSeconds) {
-  RepairOptions options = BaseOptions();
-  options.deadline_seconds = 300;  // Would be generous...
-  options.deadline = Deadline::Exhausted();  // ...but the absolute wins.
-  Result<RepairOutcome> outcome = ComputeRepair(harc_, TwoProblemPolicies(), options);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome->status, RepairStatus::kDeadlineExceeded);
-}
-
 TEST(DeadlineBudgetTest, FromBudgetMapsSignOntoBoundedness) {
   EXPECT_FALSE(Deadline::FromBudget(10.0).Expired());
   EXPECT_FALSE(Deadline::FromBudget(10.0).unbounded());
@@ -468,7 +460,7 @@ TEST(DeadlineBudgetTest, FromBudgetMapsSignOntoBoundedness) {
 
 TEST_F(RobustRepairTest, GenerousDeadlineLeavesRepairUnaffected) {
   RepairOptions options = BaseOptions();
-  options.deadline_seconds = 300;
+  options.deadline = Deadline::FromBudget(300);
   Result<RepairOutcome> outcome = ComputeRepair(harc_, TwoProblemPolicies(), options);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->status, RepairStatus::kSuccess);
@@ -510,6 +502,45 @@ TEST(RobustPipelineTest, PartialRepairReportsResidualViolations) {
   // not sound and exactly one residual graph violation remains.
   EXPECT_FALSE(report->Sound());
   EXPECT_EQ(report->residual_graph_violations.size(), 1u);
+}
+
+// One budget covers every phase of a repair. The incremental pre-pass
+// re-solves both violated destinations here, and its first solve sleeps past
+// the budget, so the second is skipped and the re-verify finds a residual.
+// Its fallback, and the plain path after the declined pre-pass, must find
+// the budget spent: a fresh budget per phase would let them solve again.
+TEST(RobustPipelineTest, SecondPhaseGetsNoFreshBudget) {
+  std::vector<std::string> texts = {kExampleConfigA, kExampleConfigB, kExampleConfigC};
+  NetworkAnnotations annotations;
+  annotations.waypoint_links.insert({"B", "C"});
+  Result<Cpr> network = Cpr::FromConfigTexts(texts, annotations);
+  ASSERT_TRUE(network.ok()) << network.error().message();
+  SubnetId s = *network->network().FindSubnet(ExampleSubnetS());
+  SubnetId t = *network->network().FindSubnet(ExampleSubnetT());
+  SubnetId u = *network->network().FindSubnet(ExampleSubnetU());
+  std::vector<Policy> policies = {Policy::Reachability(s, t, 2),
+                                  Policy::Reachability(s, u, 1)};
+
+  CprOptions options;
+  options.repair.granularity = Granularity::kPerDst;
+  options.repair.backend = BackendChoice::kInternal;
+  options.repair.num_threads = 1;
+  options.repair.fault_injection = *FaultInjectionSpec::Parse("slow:slow=0.6:max=1");
+  options.validate_with_simulator = false;
+  // A session of the unrepaired snapshot: both groups are violated, so the
+  // pre-pass solves two problems.
+  Result<std::shared_ptr<incremental::RepairSession>> session = incremental::BuildSession(
+      ParseExampleConfigs(), annotations, policies, options.repair);
+  ASSERT_TRUE(session.ok()) << session.error().message();
+  Result<Cpr> pipeline = Cpr::FromBaseline(*session, texts, annotations);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.error().message();
+
+  options.repair.deadline = Deadline::FromBudget(0.3);
+  Result<CprReport> report = pipeline->Repair(policies, options);
+  ASSERT_TRUE(report.ok()) << report.error().message();
+  EXPECT_TRUE(report->incremental.attempted);
+  EXPECT_FALSE(report->incremental.applied) << "the fallback had no time left";
+  EXPECT_EQ(report->status, RepairStatus::kDeadlineExceeded);
 }
 
 TEST(RobustPipelineTest, InjectionDisabledMatchesDefaultPath) {

@@ -231,22 +231,21 @@ TEST(SnapshotCacheTest, HitsOnIdenticalSnapshotInvalidatesOnChange) {
   Result<RequestInputs> inputs = LoadRequestInputs(fx.Spec());
   ASSERT_TRUE(inputs.ok()) << inputs.error().message();
 
-  Result<std::shared_ptr<const Cpr>> first =
-      cache.GetOrBuild(fx.config_dir(), inputs->config_texts, inputs->policy_text);
+  Result<Snapshot> first =
+      cache.GetOrBuildSnapshot(fx.config_dir(), inputs->config_texts, inputs->policy_text);
   ASSERT_TRUE(first.ok()) << first.error().message();
-  Result<std::shared_ptr<const Cpr>> second =
-      cache.GetOrBuild(fx.config_dir(), inputs->config_texts, inputs->policy_text);
+  Result<Snapshot> second =
+      cache.GetOrBuildSnapshot(fx.config_dir(), inputs->config_texts, inputs->policy_text);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->get(), second->get()) << "same snapshot must share a pipeline";
+  EXPECT_EQ(first->cpr.get(), second->cpr.get()) << "same snapshot must share a pipeline";
 
   // Change one router: same source, new content hash -> differ-driven
   // invalidation of the superseded entry, not just an LRU insert.
   std::vector<std::string> changed = inputs->config_texts;
   changed[0] += "! drift\n";
-  Result<std::shared_ptr<const Cpr>> third =
-      cache.GetOrBuild(fx.config_dir(), changed, inputs->policy_text);
+  Result<Snapshot> third = cache.GetOrBuildSnapshot(fx.config_dir(), changed, inputs->policy_text);
   ASSERT_TRUE(third.ok()) << third.error().message();
-  EXPECT_NE(first->get(), third->get());
+  EXPECT_NE(first->cpr.get(), third->cpr.get());
 
   obs::Snapshot snapshot = registry.TakeSnapshot();
   EXPECT_EQ(CounterIn(snapshot, "serve.cache.hits"), 1);
@@ -716,7 +715,7 @@ TEST(DaemonTest, SameLineageResubmissionReusesRetainedSession) {
   ServeFixture fx("sessions");
   // A policy the example network already satisfies (EP1): the identical
   // re-submission diffs clean, so the incremental path must fully engage
-  // (HARC cloned, every group verdict reused) rather than merely attempt.
+  // (every group verdict reused) rather than merely attempt.
   std::ofstream(fx.policy_file()) << "always-blocked 10.2.0.0/16 -> 10.30.0.0/16\n";
   Result<std::unique_ptr<Daemon>> daemon = Daemon::Start(fx.Options());
   ASSERT_TRUE(daemon.ok()) << daemon.error().message();
@@ -736,10 +735,15 @@ TEST(DaemonTest, SameLineageResubmissionReusesRetainedSession) {
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->status, "no-violations");
   EXPECT_EQ(GlobalCounter("serve.sessions.reused"), reused_before + 1);
-  // The incremental stats section proves the cheap path ran: the baseline
-  // HARC was cloned and the verdicts were reused, not re-derived.
-  EXPECT_NE(status->stats_json.find("\"harc_cloned\":true"), std::string::npos)
-      << status->stats_json;
+  // The incremental stats section proves the cheap path ran: every verdict
+  // was reused, not re-derived.
+  obs::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(status->stats_json, &doc, &error)) << error;
+  const obs::JsonValue& incremental = *doc.Find("incremental");
+  EXPECT_TRUE(incremental.Find("applied")->bool_value) << status->stats_json;
+  EXPECT_EQ(incremental.Find("groups_reused")->AsInt(),
+            incremental.Find("groups_total")->AsInt());
   EXPECT_NE(status->stats_json.find("\"fell_back\":false"), std::string::npos);
   EXPECT_EQ((*daemon)->session_count(), 1u) << "one session per source, replaced in place";
 }

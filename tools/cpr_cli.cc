@@ -126,7 +126,7 @@ int Usage() {
                "         --lint error|warn|off  pre-repair lint gate: refuse on\n"
                "                              errors (default), report only, or skip\n"
                "         --incremental --baseline DIR  re-repair against the prior\n"
-               "                              snapshot in DIR: diff the configs,\n"
+               "                              snapshot in DIR: diff the HARCs,\n"
                "                              reuse clean groups' verdicts, re-solve\n"
                "                              only dirty ones (the result is always\n"
                "                              re-verified concretely)\n"
@@ -202,6 +202,8 @@ struct CliArgs {
   int dirty_asym = 0;           // `cpr gen --dirty-asym N` symmetry breaks.
   bool incremental = false;     // `cpr repair --incremental`.
   std::string baseline_dir;     // `cpr repair --baseline DIR` prior snapshot.
+  // `--deadline SECONDS`, the budget of the whole repair (RunOptions).
+  std::optional<double> deadline_seconds;
   uint32_t seed = 1;
   cpr::CprOptions options;
 };
@@ -292,13 +294,7 @@ cpr::Result<CliArgs> ParseArgs(int argc, char** argv) {
     } else if (flag == "--timeout") {
       parsed = read(&args.options.repair.timeout_seconds);
     } else if (flag == "--deadline") {
-      parsed = read(&args.options.repair.deadline_seconds);
-      // An explicit zero (or negative) budget means "no time at all", not
-      // "unbounded": the repair reports kDeadlineExceeded without starting
-      // solver work. Only the flag's *absence* means unbounded.
-      if (args.options.repair.deadline_seconds <= 0) {
-        args.options.repair.deadline = cpr::Deadline::Exhausted();
-      }
+      parsed = read(&args.deadline_seconds.emplace());
     } else if (flag == "--max-retries") {
       parsed = read(&args.options.repair.max_retries);
     } else if (flag == "--no-failover") {
@@ -756,9 +752,22 @@ int CmdCertify(const std::string& dir) {
   return failed == 0 ? 0 : 1;
 }
 
+// The options of a `repair` or `explain` run. The --deadline budget starts
+// here, immediately before Repair(), and covers all of its phases. An
+// explicit zero (or negative) budget means "no time at all", not
+// "unbounded": the repair reports kDeadlineExceeded without starting solver
+// work. Only the flag's absence means unbounded.
+cpr::CprOptions RunOptions(const CliArgs& args) {
+  cpr::CprOptions options = args.options;
+  if (args.deadline_seconds.has_value()) {
+    options.repair.deadline = cpr::Deadline::FromBudget(*args.deadline_seconds);
+  }
+  return options;
+}
+
 int CmdRepair(const cpr::Cpr& pipeline, const std::vector<cpr::Policy>& policies,
               const CliArgs& args, std::optional<cpr::CprReport>* report_out) {
-  cpr::Result<cpr::CprReport> report = pipeline.Repair(policies, args.options);
+  cpr::Result<cpr::CprReport> report = pipeline.Repair(policies, RunOptions(args));
   if (!report.ok()) {
     std::fprintf(stderr, "repair error: %s\n", report.error().message().c_str());
     return 1;
@@ -883,7 +892,7 @@ int CmdRepair(const cpr::Cpr& pipeline, const std::vector<cpr::Policy>& policies
 // "why these changes", not "does the patch validate".
 int CmdExplain(const cpr::Cpr& pipeline, const std::vector<cpr::Policy>& policies,
                const CliArgs& args, std::optional<cpr::CprReport>* report_out) {
-  cpr::CprOptions options = args.options;
+  cpr::CprOptions options = RunOptions(args);
   options.validate_with_simulator = false;
   cpr::Result<cpr::CprReport> report = pipeline.Repair(policies, options);
   if (!report.ok()) {
