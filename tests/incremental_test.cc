@@ -232,6 +232,68 @@ TEST(IncrementalScopeTest, WaypointAnnotationChangeDirtiesEverything) {
   EXPECT_TRUE(ScopeOf(ExampleTexts(), before, {}).diff.global);
 }
 
+// The engine run on an edit of the example network (with its firewall on
+// B-C) against a session holding EP1 (S->U blocked) and EP2 (S->T through
+// the firewall), both satisfied, one group each.
+Result<IncrementalOutcome> RunExampleEdit(const std::vector<std::string>& after) {
+  NetworkAnnotations annotations;
+  annotations.waypoint_links.insert({"B", "C"});
+  const std::vector<Policy> policies = {
+      Policy::AlwaysBlocked(EditScope::Id(ExampleSubnetS()), EditScope::Id(ExampleSubnetU())),
+      Policy::AlwaysWaypoint(EditScope::Id(ExampleSubnetS()), EditScope::Id(ExampleSubnetT()))};
+  Result<std::shared_ptr<RepairSession>> session =
+      BuildSession(ParseAll(ExampleTexts()), annotations, policies, InternalOptions());
+  if (!session.ok()) {
+    return session.error();
+  }
+  EXPECT_EQ((*session)->groups.size(), 2u);
+  for (const GroupRecord& group : (*session)->groups) {
+    EXPECT_TRUE(group.satisfied);
+  }
+  Result<Cpr> pipeline = Cpr::FromConfigTexts(after, annotations);
+  if (!pipeline.ok()) {
+    return pipeline.error();
+  }
+  return TryIncrementalRepair(**session, pipeline->network(), pipeline->harc(), policies,
+                              InternalOptions());
+}
+
+TEST(IncrementalScopeTest, ResolvesOnlyDirtyDestinations) {
+  // The static route toward T across the A-C link bypasses the firewall:
+  // T's group re-solves and is repaired, U's group keeps its verdict.
+  Result<IncrementalOutcome> outcome = RunExampleEdit(Edited(
+      ExampleTexts(), 0, "router ospf 10", "ip route 10.20.0.0/16 10.0.2.3\n!\nrouter ospf 10"));
+  ASSERT_TRUE(outcome.ok()) << outcome.error().message();
+  const IncrementalStats& stats = outcome->stats;
+  ASSERT_TRUE(outcome->result.has_value()) << stats.skipped_reason;
+  EXPECT_TRUE(stats.applied);
+  EXPECT_FALSE(stats.everything_dirty);
+  EXPECT_EQ(stats.dirty_destinations, 1);  // Exactly subnet T.
+  EXPECT_EQ(stats.groups_total, 2);
+  EXPECT_EQ(stats.groups_reused, 1);
+  EXPECT_EQ(stats.groups_resolved, 1);
+  EXPECT_FALSE(stats.fell_back);
+  EXPECT_EQ(outcome->result->status, RepairStatus::kSuccess);
+  EXPECT_GT(outcome->result->lines_changed, 0);
+}
+
+TEST(IncrementalScopeTest, GlobalDiffDeclines) {
+  // A new A-C adjacency changes the aETG: the engine declines before it
+  // classifies any group, and the caller runs the ordinary pipeline.
+  Result<IncrementalOutcome> outcome =
+      RunExampleEdit(Edited(ExampleTexts(), 2, " passive-interface Ethernet0/1\n", ""));
+  ASSERT_TRUE(outcome.ok()) << outcome.error().message();
+  const IncrementalStats& stats = outcome->stats;
+  EXPECT_FALSE(outcome->result.has_value());
+  EXPECT_TRUE(stats.attempted);
+  EXPECT_FALSE(stats.applied);
+  EXPECT_TRUE(stats.everything_dirty);
+  EXPECT_FALSE(stats.skipped_reason.empty());
+  EXPECT_EQ(stats.groups_reused, 0);
+  EXPECT_EQ(stats.groups_resolved, 0);
+  EXPECT_FALSE(stats.fell_back);
+}
+
 // ---------------------------------------------------------------------------
 // Session construction.
 
